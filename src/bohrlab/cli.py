@@ -45,6 +45,9 @@ EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_UNCERTIFIED = 4
 
+#: Most points a ``sweep --grid lo:hi:count`` may ask for.
+GRID_CAP = 10_000
+
 
 def _fmt(x) -> str:
     if isinstance(x, float):
@@ -278,7 +281,8 @@ def _run_verify(args) -> int:
         print("warning: input carries no disk-self-map certificate; "
               "the verdict is informational", file=sys.stderr)
         return EXIT_UNCERTIFIED
-    return EXIT_VIOLATION if report.margin > 0.0 else EXIT_OK
+    # A NaN margin is no proof that the inequality holds.
+    return EXIT_VIOLATION if not report.margin <= 0.0 else EXIT_OK
 
 
 # ----------------------------------------------------------------- sweep ----
@@ -294,8 +298,8 @@ def _run_sweep(args) -> int:
     try:
         lo, hi, count = args.grid.split(":")
         lo, hi, count = float(lo), float(hi), int(count)
-        if count < 1:
-            raise ValueError("count must be >= 1")
+        if not 1 <= count <= GRID_CAP:
+            raise ValueError(f"count must lie in [1, {GRID_CAP}]")
     except ValueError as exc:
         raise _UsageError(f"--grid must look like lo:hi:count: {exc}")
     grid = np.linspace(lo, hi, count) if count > 1 else np.array([lo])
@@ -303,10 +307,13 @@ def _run_sweep(args) -> int:
     rows = []
     for r in grid:
         r = float(r)
-        if r <= 0.0 or r >= MAX_EVAL_RADIUS:
+        if not 0.0 < r < MAX_EVAL_RADIUS:
             rows.append([r, "", "", "REJECTED"])
             continue
-        report = evaluate_kind(kind, fdesc, r)
+        try:
+            report = evaluate_kind(kind, fdesc, r)
+        except (RadiusError, ValueError, TypeError) as exc:
+            raise _UsageError(str(exc))
         rows.append([r, report.value, report.margin, "OK"])
     if args.format == "csv":
         _emit(args.out, _csv_text(header, rows))
@@ -321,6 +328,8 @@ def _run_sweep(args) -> int:
 
 def _run_sharpness(args) -> int:
     kind = _kind_from_args(args)
+    if kind.tag is FunctionalTag.LEMMA_TAIL:
+        raise _UsageError("LEMMA_TAIL has no sharp radius and so no sharpness witness")
     r = args.r
     if r is None:
         r = theorem_radius(kind) + 0.01

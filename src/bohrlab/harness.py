@@ -9,6 +9,12 @@ whose margins must stay nonpositive at the theorem radius.
 Campaigns evaluate through a vectorized path that mirrors the scalar
 evaluators coefficient-for-coefficient; the test suite pins the two routes
 against each other, so the fast path cannot drift from the canonical one.
+
+Campaign functions come from ``count`` Schur parameters (8, plus the zeros a
+gap kind inserts).  The numerator and denominator of their continued fraction
+are polynomials of degree at most ``count - 1``, so the power-series division
+that yields the Taylor coefficients is a banded recurrence: O(T * count)
+work instead of O(T^2), with the same coefficients bit for bit.
 """
 
 from __future__ import annotations
@@ -413,10 +419,20 @@ def _campaign_truncation(r: float) -> int:
 
 
 def _batch_schur(params: np.ndarray, T: int) -> tuple[np.ndarray, np.ndarray]:
-    """Taylor coefficients (trials, T+1) of the sampled Schur parameter rows."""
+    """Taylor coefficients (trials, T+1) of the sampled Schur parameter rows.
+
+    Each of the ``count`` recursion steps raises the degrees of the numerator
+    A and the denominator B by at most one, so both are polynomials of degree
+    at most ``count - 1``.  They are kept on ``width = min(count, T+1)``
+    columns (one for an empty parameter row), and the division c = A/B runs
+    as the banded recurrence c_k = A_k - sum_{j=1..d} B_j c_{k-j} with
+    ``d = min(k, width-1)``: every dropped term is an exact zero, so the
+    coefficients equal those of the dense O(T^2) convolution bit for bit.
+    """
     trials, count = params.shape
-    A = np.zeros((trials, T + 1), dtype=complex)
-    B = np.zeros((trials, T + 1), dtype=complex)
+    width = min(max(count, 1), T + 1)
+    A = np.zeros((trials, width), dtype=complex)
+    B = np.zeros((trials, width), dtype=complex)
     B[:, 0] = 1.0
     for k in range(count - 1, -1, -1):
         g = params[:, k : k + 1]
@@ -425,10 +441,11 @@ def _batch_schur(params: np.ndarray, T: int) -> tuple[np.ndarray, np.ndarray]:
         A = g * B + shifted
         B = B + np.conj(g) * shifted
     coeffs = np.zeros((trials, T + 1), dtype=complex)
-    coeffs[:, 0] = A[:, 0]
+    coeffs[:, :width] = A
     for k in range(1, T + 1):
-        conv = np.einsum("tj,tj->t", B[:, 1 : k + 1], coeffs[:, k - 1 :: -1])
-        coeffs[:, k] = A[:, k] - conv
+        d = min(k, width - 1)
+        conv = np.einsum("tj,tj->t", B[:, 1 : d + 1], coeffs[:, k - d : k][:, ::-1])
+        coeffs[:, k] -= conv
     return coeffs, 1.0 - np.abs(coeffs[:, 0]) ** 2
 
 

@@ -15,6 +15,7 @@ certificate.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import math
 import os
@@ -97,9 +98,11 @@ class CoefficientSeries:
         coeffs = tuple(complex(c) for c in self.coeffs)
         if not coeffs:
             raise ValueError("a series needs at least its constant coefficient")
+        if not all(map(cmath.isfinite, coeffs)):
+            raise ValueError("coefficients must be finite")
         object.__setattr__(self, "coeffs", coeffs)
         bound = float(self.coefficient_bound)
-        if not 0.0 <= bound <= 1.0:
+        if not 0.0 <= bound <= 1.0:  # also rejects NaN
             raise ValueError(f"coefficient_bound must lie in [0, 1], got {bound!r}")
         object.__setattr__(self, "coefficient_bound", bound)
         certificate = Certificate(self.certificate)
@@ -243,9 +246,15 @@ def schur_from_parameters(
 
     T = truncation_order
     # Accumulate f = A/B with only shift-and-add updates, then divide once.
-    # B(0) stays 1 throughout, so the division is well posed.
-    A = [0j] * (T + 1)
-    B = [0j] * (T + 1)
+    # B(0) stays 1 throughout, so the division is well posed.  A unimodular
+    # terminator counts as one more step; each step raises the degrees of A
+    # and B by at most one, so both fit in ``width`` coefficients and the
+    # division only runs over the band j <= d where B_j can be nonzero.
+    count = len(params) + (base != 0)
+    width = min(max(count, 1), T + 1)
+    d = width - 1
+    A = [0j] * width
+    B = [0j] * width
     A[0] = base
     B[0] = 1.0 + 0j
     for g in reversed(params):
@@ -254,10 +263,10 @@ def schur_from_parameters(
         A = [g * b + sh for b, sh in zip(B, shifted)]
         B = [b + gc * sh for b, sh in zip(B, shifted)]
 
-    coeffs = [0j] * (T + 1)
-    for k in range(T + 1):
-        acc = A[k]
-        for j in range(1, k + 1):
+    coeffs = A + [0j] * (T + 1 - width)
+    for k in range(1, T + 1):
+        acc = coeffs[k]
+        for j in range(1, min(k, d) + 1):
             acc -= B[j] * coeffs[k - j]
         coeffs[k] = acc
 
@@ -407,9 +416,10 @@ def series_from_json(data: dict) -> LacunarySeries:
         coeffs = tuple(complex(re, im) for re, im in data["coeffs"])
         bound = float(data["bound"])
         certificate = Certificate(data["certificate"])
+        g = CoefficientSeries(coeffs, bound, certificate)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed series object: {exc}") from exc
-    return LacunarySeries(m, p, CoefficientSeries(coeffs, bound, certificate))
+    return LacunarySeries(m, p, g)
 
 
 def _check_unit_interval(a: float) -> float:

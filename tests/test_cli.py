@@ -112,6 +112,45 @@ class TestVerifyCommand:
                    "--m", "1", "--r", "0.4"])
         assert rc == EXIT_USAGE
 
+    def test_nan_coefficient_is_parse_error(self, tmp_path, capsys):
+        data = series_to_json(mobius_series(0.5, 50))
+        data["coeffs"][3] = [float("nan"), 0.0]
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(data))
+        rc = main(["verify", "--file", str(path), "--kind", "D_NM", "--n", "1",
+                   "--m", "0", "--r", "0.3"])
+        assert rc == EXIT_PARSE
+        assert capsys.readouterr().out == ""
+
+    def test_nan_profile_in_banach_file_is_parse_error(self, tmp_path, capsys):
+        from bohrlab.spaces import BanachFunction, MappingForm, SpaceSpec, banach_to_json
+
+        spec = SpaceSpec(2, 2.0)
+        f = BanachFunction(MappingForm.SCALAR_COMPOSITE, spec, (1.0, 0.0),
+                           mobius_series(0.5, 20))
+        data = banach_to_json(f)
+        data["h"]["coeffs"][1] = [float("nan"), 0.0]
+        path = tmp_path / "vec.json"
+        path.write_text(json.dumps(data))
+        rc = main(["verify", "--file", str(path), "--kind", "D_NM", "--n", "1",
+                   "--m", "0", "--r", "0.3"])
+        assert rc == EXIT_PARSE
+
+    def test_nan_margin_is_not_a_pass(self, tmp_path, capsys, monkeypatch):
+        import dataclasses
+
+        import bohrlab.cli as cli
+
+        real = cli.evaluate_kind
+        monkeypatch.setattr(
+            cli, "evaluate_kind",
+            lambda *a: dataclasses.replace(real(*a), margin=float("nan")),
+        )
+        path = _write_mobius(tmp_path)
+        rc = main(["verify", "--file", path, "--kind", "D_NM", "--n", "1",
+                   "--m", "0", "--r", "0.3"])
+        assert rc == EXIT_VIOLATION
+
     def test_exit_statuses_pairwise_distinct(self):
         assert len({EXIT_OK, EXIT_VIOLATION, EXIT_USAGE, EXIT_PARSE, EXIT_UNCERTIFIED}) == 5
 
@@ -169,6 +208,37 @@ class TestSweepCommand:
         statuses = [r[3] for r in rows]
         assert statuses == ["OK", "REJECTED", "REJECTED"]
 
+    def test_unsupported_input_usage_error(self, tmp_path, capsys):
+        # D_NM(1,3) needs c_0 = 0 at the gap's start; the Mobius map has c_0 = 0.5
+        path = _write_mobius(tmp_path)
+        rc = main(["sweep", "--file", path, "--kind", "D_NM", "--n", "3", "--m", "1",
+                   "--grid", "0.1:0.5:3"])
+        assert rc == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage error" in captured.err
+
+    def test_grid_count_capped_before_allocation(self, tmp_path, capsys, monkeypatch):
+        import bohrlab.cli as cli
+
+        def no_linspace(*args, **kwargs):
+            raise AssertionError("the grid was allocated")
+
+        monkeypatch.setattr(cli.np, "linspace", no_linspace)
+        path = _write_mobius(tmp_path)
+        rc = main(["sweep", "--file", path, "--kind", "D_NM", "--n", "1", "--m", "0",
+                   "--grid", f"0.1:0.5:{cli.GRID_CAP + 1}"])
+        assert rc == EXIT_USAGE
+        assert "--grid" in capsys.readouterr().err
+
+    def test_nan_grid_point_rejected(self, tmp_path, capsys):
+        path = _write_mobius(tmp_path)
+        rc = main(["sweep", "--file", path, "--kind", "D_NM", "--n", "1", "--m", "0",
+                   "--grid", "nan:0.3:2"])
+        assert rc == EXIT_OK
+        rows = _rows(capsys.readouterr().out)[1:]
+        assert [r[3] for r in rows] == ["REJECTED", "OK"]
+
     def test_bad_grid_usage_error(self, tmp_path, capsys):
         path = _write_mobius(tmp_path)
         assert main(["sweep", "--file", path, "--kind", "D_NM", "--n", "1",
@@ -182,6 +252,12 @@ class TestSharpnessCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["value"] > 1.0 + 1e-6
         assert payload["exceeds_one"] is True
+
+    @pytest.mark.parametrize("extra", [[], ["--r", "0.5"]])
+    def test_lemma_tail_has_no_witness(self, capsys, extra):
+        rc = main(["sharpness", "--kind", "LEMMA_TAIL", "--n", "2", *extra])
+        assert rc == EXIT_USAGE
+        assert "usage error" in capsys.readouterr().err
 
     def test_below_radius_fails(self, capsys):
         rc = main(["sharpness", "--kind", "A_PM", "--p", "1", "--m", "1",

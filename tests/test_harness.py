@@ -6,6 +6,7 @@ from bohrlab.harness import (
     NO_CROSSING,
     WitnessNotFoundError,
     _batch_margins,
+    _batch_schur,
     _sample_parameters,
     campaign_function,
     empirical_radius,
@@ -228,3 +229,53 @@ class TestRandomCampaign:
     def test_rejects_bad_trials(self):
         with pytest.raises(ValueError):
             random_campaign(FunctionalKind.gap(1, 0), 0, seed=1)
+
+
+def _dense_batch_schur(params, T):
+    """The unbanded O(T^2) division, kept as the oracle for the banded one."""
+    trials, count = params.shape
+    A = np.zeros((trials, T + 1), dtype=complex)
+    B = np.zeros((trials, T + 1), dtype=complex)
+    B[:, 0] = 1.0
+    for k in range(count - 1, -1, -1):
+        g = params[:, k : k + 1]
+        shifted = np.zeros_like(A)
+        shifted[:, 1:] = A[:, :-1]
+        A = g * B + shifted
+        B = B + np.conj(g) * shifted
+    coeffs = np.zeros((trials, T + 1), dtype=complex)
+    coeffs[:, 0] = A[:, 0]
+    for k in range(1, T + 1):
+        conv = np.einsum("tj,tj->t", B[:, 1 : k + 1], coeffs[:, k - 1 :: -1])
+        coeffs[:, k] = A[:, k] - conv
+    return coeffs, 1.0 - np.abs(coeffs[:, 0]) ** 2
+
+
+class TestBatchSchur:
+    def _assert_matches_dense(self, params, T):
+        coeffs, bound = _batch_schur(params, T)
+        want_coeffs, want_bound = _dense_batch_schur(params, T)
+        assert coeffs.shape == (params.shape[0], T + 1)
+        assert np.array_equal(coeffs, want_coeffs)
+        assert np.array_equal(bound, want_bound)
+
+    @pytest.mark.parametrize("T", [1, 7, 8, 30, 118])
+    def test_plain_rows_bit_identical(self, T):
+        params = _sample_parameters(np.random.default_rng(11), 64)
+        self._assert_matches_dense(params, T)
+
+    def test_gap_rows_with_inserted_zeros(self):
+        params = _sample_parameters(np.random.default_rng(12), 64)
+        for gap in (1, 2):
+            rows = np.concatenate(
+                [params[:, :1], np.zeros((64, gap), dtype=complex), params[:, 1:]], axis=1
+            )
+            self._assert_matches_dense(rows, 60)
+
+    def test_truncation_below_parameter_count(self):
+        params = _sample_parameters(np.random.default_rng(13), 16)
+        self._assert_matches_dense(params, 3)
+
+    def test_constant_term_only(self):
+        params = _sample_parameters(np.random.default_rng(14), 16)
+        self._assert_matches_dense(params, 0)

@@ -98,6 +98,17 @@ class TestSchurParameters:
         assert s.coeffs == (0j,)
         assert s.coefficient_bound == 0.0
 
+    @pytest.mark.parametrize("T", [0, 2, 7, 8, 9, 60])
+    @pytest.mark.parametrize("terminator", [None, 1.0 + 0j, -1j])
+    def test_banded_division_matches_dense(self, T, terminator):
+        rng = np.random.default_rng(5)
+        params = [complex(g) for g in 0.98 * np.sqrt(rng.random(8))
+                  * np.exp(2j * np.pi * rng.random(8))]
+        params[3] = 0j
+        gamma = params + ([terminator] if terminator is not None else [])
+        got = schur_from_parameters(gamma, T)
+        assert got.coeffs == tuple(_dense_schur(params, terminator or 0j, T))
+
 
 class TestLacunary:
     def test_pure_monomial(self):
@@ -184,6 +195,17 @@ class TestConstructorInvariants:
         with pytest.raises(ValueError):
             CoefficientSeries((0.8 + 0j, 0.9 + 0j), 0.0, Certificate.SCHUR_EXACT)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.1, float("nan"))])
+    def test_rejects_non_finite_coefficients(self, bad):
+        for certificate in Certificate:
+            with pytest.raises(ValueError, match="finite"):
+                CoefficientSeries((0.1 + 0j, bad), 0.5, certificate)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_bound(self, bad):
+        with pytest.raises(ValueError):
+            CoefficientSeries((0.1 + 0j, 0.2 + 0j), bad)
+
     def test_boundary_invariant_for_exact_series(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
@@ -229,6 +251,12 @@ class TestSerialization:
         with pytest.raises(ValueError):
             series_from_json({"m": 0, "p": 1})
 
+    def test_nan_coefficient_is_malformed(self):
+        data = series_to_json(mobius_series(0.3, 6))
+        data["coeffs"][2] = [float("nan"), 0.0]
+        with pytest.raises(ValueError, match="malformed series object"):
+            series_from_json(data)
+
 
 class TestSamplingCertificate:
     def test_upgrade_unknown(self):
@@ -240,3 +268,22 @@ class TestSamplingCertificate:
         s = CoefficientSeries((0.9 + 0j, 0.9 + 0j, 0.9 + 0j), 0.0, Certificate.UNKNOWN)
         with pytest.raises(ValueError):
             certify_by_sampling(s)
+
+
+def _dense_schur(params, base, T):
+    """The unbanded O(T^2) division, kept as the oracle for the banded one."""
+    A = [0j] * (T + 1)
+    B = [0j] * (T + 1)
+    A[0] = base
+    B[0] = 1.0 + 0j
+    for g in reversed(params):
+        shifted = [0j] + A[:-1]
+        A = [g * b + sh for b, sh in zip(B, shifted)]
+        B = [b + g.conjugate() * sh for b, sh in zip(B, shifted)]
+    coeffs = [0j] * (T + 1)
+    for k in range(T + 1):
+        acc = A[k]
+        for j in range(1, k + 1):
+            acc -= B[j] * coeffs[k - j]
+        coeffs[k] = acc
+    return coeffs
