@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -115,10 +116,20 @@ def _common_output(cmd: argparse.ArgumentParser, default_format: str) -> None:
     cmd.add_argument("--format", choices=("csv", "json"), default=default_format)
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on first use, not at import; parse_args leaves it unchanged.
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one subcommand and return its exit status.
+
+    The argument parser is built on the first call and reused by every later
+    call in the process; each call parses into a fresh namespace.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
@@ -333,6 +344,8 @@ def _run_sharpness(args) -> int:
     r = args.r
     if r is None:
         r = theorem_radius(kind) + 0.01
+    elif not 0.0 < r < MAX_EVAL_RADIUS:  # also rejects NaN
+        raise _UsageError(f"--r must lie in (0, {MAX_EVAL_RADIUS}), got {r!r}")
     try:
         witness = sharpness_witness(kind, r)
     except (ValueError, RuntimeError) as exc:

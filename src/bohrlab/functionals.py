@@ -107,8 +107,8 @@ class FunctionalKind:
             object.__setattr__(self, "d", tuple(float(x) for x in self.d))
         t = self.tag
         if t is FunctionalTag.A_PM:
-            if self.p is None or self.m is None or not 0 <= self.m <= self.p:
-                raise ValueError("A_PM requires integers 0 <= m <= p")
+            if self.p is None or self.m is None or not 0 <= self.m <= self.p or self.p < 1:
+                raise ValueError("A_PM requires integers 0 <= m <= p and p >= 1")
         elif t is FunctionalTag.D_NM:
             if self.n is None or self.m is None or self.m < 0 or self.n < self.m + 1:
                 raise ValueError("D_NM requires integers m >= 0 and N >= m + 1")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -95,7 +96,7 @@ class CoefficientSeries:
     certificate: Certificate = Certificate.UNKNOWN
 
     def __post_init__(self) -> None:
-        coeffs = tuple(complex(c) for c in self.coeffs)
+        coeffs = tuple(map(complex, self.coeffs))
         if not coeffs:
             raise ValueError("a series needs at least its constant coefficient")
         if not all(map(cmath.isfinite, coeffs)):
@@ -111,21 +112,23 @@ class CoefficientSeries:
         head = abs(coeffs[0])
         if head > 1.0 + _COEFF_TOL:
             raise ValueError("constant coefficient must lie in the closed unit disk")
-        if head >= 1.0 - _DEGENERATE_TOL:
-            # Maximum principle: a unimodular value at 0 forces a constant.
-            if any(abs(c) > _COEFF_TOL for c in coeffs[1:]):
-                raise ValueError(
-                    "|c_0| = 1 forces a constant function; nonzero higher "
-                    "coefficients are inconsistent"
-                )
+        tail_max = max(map(abs, coeffs[1:]), default=0.0)
+        # Maximum principle: a unimodular value at 0 forces a constant.
+        if head >= 1.0 - _DEGENERATE_TOL and tail_max > _COEFF_TOL:
+            raise ValueError(
+                "|c_0| = 1 forces a constant function; nonzero higher "
+                "coefficients are inconsistent"
+            )
         if certificate is Certificate.SCHUR_EXACT:
             cap = 1.0 - head * head + _COEFF_TOL
-            for s, c in enumerate(coeffs[1:], start=1):
-                if abs(c) > cap:
-                    raise ValueError(
-                        f"coefficient c_{s} violates |c_s| <= 1 - |c_0|^2 "
-                        f"({abs(c)!r} > {cap!r})"
-                    )
+            # Walk the tail only on failure, to name the first violation.
+            if tail_max > cap:
+                for s, c in enumerate(coeffs[1:], start=1):
+                    if abs(c) > cap:
+                        raise ValueError(
+                            f"coefficient c_{s} violates |c_s| <= 1 - |c_0|^2 "
+                            f"({abs(c)!r} > {cap!r})"
+                        )
 
     @property
     def truncation_order(self) -> int:
@@ -169,6 +172,16 @@ class LacunarySeries:
             raise ValueError("gap p must be >= 1")
 
     def expand(self) -> CoefficientSeries:
+        """The expanded series, built on the first call and reused after it.
+
+        The identity shape m = 0, p = 1 returns ``g`` itself.
+        """
+        return self._expanded
+
+    @functools.cached_property
+    def _expanded(self) -> CoefficientSeries:
+        # Stored in the instance __dict__, not as a field, so equality,
+        # hashing and repr of the frozen dataclass are unchanged.
         return lacunary_expand(self.m, self.p, self.g)
 
     def __call__(self, lam: complex) -> complex:
@@ -282,11 +295,17 @@ def schur_from_parameters(
 
 
 def lacunary_expand(m: int, p: int, g: CoefficientSeries) -> CoefficientSeries:
-    """Embed ``g`` on the support ``{s*p + m}``: the expansion of lam^m g(lam^p)."""
+    """Embed ``g`` on the support ``{s*p + m}``: the expansion of lam^m g(lam^p).
+
+    For m = 0, p = 1 the expansion is ``g`` itself, which is returned without
+    building a copy.
+    """
     if m < 0:
         raise ValueError("base order m must be >= 0")
     if p < 1:
         raise ValueError("gap p must be >= 1")
+    if (m, p) == (0, 1):
+        return g
     T = m + p * g.truncation_order
     coeffs = [0j] * (T + 1)
     for s, c in enumerate(g.coeffs):

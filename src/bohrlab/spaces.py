@@ -212,7 +212,7 @@ def banach_from_json(data: dict) -> BanachFunction:
             direction = tuple(complex(re, im) for re, im in data["dir"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed mapping object: {exc}") from exc
-    profile = profile_obj.expand() if (profile_obj.m, profile_obj.p) != (0, 1) else profile_obj.g
+    profile = profile_obj.expand()
     return BanachFunction(form, space, u, profile, target, direction)
 
 

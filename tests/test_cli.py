@@ -264,6 +264,70 @@ class TestSharpnessCommand:
                    "--r", "0.1"])
         assert rc == EXIT_VIOLATION
 
+    @pytest.mark.parametrize("extra", [[], ["--r", "0.5"]])
+    def test_zero_gap_usage_error(self, capsys, extra):
+        rc = main(["sharpness", "--kind", "A_PM", "--p", "0", "--m", "0", *extra])
+        assert rc == EXIT_USAGE
+        assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("r", ["nan", "0.999", "0.995", "0", "-0.2", "inf"])
+    def test_radius_out_of_range_usage_error(self, capsys, r):
+        rc = main(["sharpness", "--kind", "A_PM", "--p", "1", "--m", "1", "--r", r])
+        assert rc == EXIT_USAGE
+        assert "usage error: --r must lie in" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    def test_built_once_and_not_at_import(self, monkeypatch, capsys):
+        import os
+        import subprocess
+        import sys
+
+        import bohrlab.cli as cli
+
+        probe = "import bohrlab.cli as c; print(c._parser.cache_info().currsize)"
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        fresh = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                               text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+        assert fresh.stdout.strip() == "0"
+        builds = []
+        real = cli.build_parser
+
+        def counting_build():
+            builds.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        cli._parser.cache_clear()
+        try:
+            for argv in (["radii", "--bogus"], ["sharpness", "--kind", "I_M", "--d", "x"],
+                         ["radii", "--p-max", "0", "--m-max", "0", "--n-max", "0"]):
+                main(argv)
+        finally:
+            cli._parser.cache_clear()
+        assert len(builds) == 1
+
+    def test_no_state_carried_between_calls(self, tmp_path, capsys):
+        path = _write_mobius(tmp_path, order=60)
+        verify = ["verify", "--file", path, "--kind", "D_NM", "--n", "1", "--m", "0",
+                  "--r", "0.3"]
+        assert main(["verify", "--file", path, "--kind", "D_NM", "--bogus"]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+        assert main(verify) == EXIT_OK
+        first = capsys.readouterr().out
+        out = tmp_path / "v.csv"
+        assert main(verify + ["--format", "csv", "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        assert _rows(out.read_text())[0][0] == "kind"
+        # neither --format nor --out: the defaults again, not the last call's
+        assert main(verify) == EXIT_OK
+        again = capsys.readouterr().out
+        assert again == first
+        assert json.loads(again)["margin"] <= 0.0
+        for argv in (["verify", "--file", path, "--kind", "D_NM"], verify):
+            runs = [(main(argv), capsys.readouterr()) for _ in range(2)]
+            assert runs[0] == runs[1]
+
 
 class TestSelftestCommand:
     def test_single_criterion_passes(self, capsys):

@@ -3,6 +3,7 @@ import pytest
 
 from bohrlab.functionals import (
     ConstraintViolation,
+    FunctionalKind,
     SupportError,
     c_constant,
     constraint_check,
@@ -66,6 +67,10 @@ class TestLacunarySum:
         fam = LacunarySeries(3, 2, mobius_minus_series(0.5, 10))  # m > p
         with pytest.raises(ValueError):
             eval_lacunary_sum(fam, 0.4)
+
+    def test_kind_needs_positive_gap(self):
+        with pytest.raises(ValueError, match="p >= 1"):
+            FunctionalKind.lacunary(0, 0)
 
     def test_radius_rejection(self):
         fam = LacunarySeries(0, 1, mobius_minus_series(0.5, 10))

@@ -142,6 +142,32 @@ class TestLacunary:
         lam = 0.4 + 0.1j
         assert fam(lam) == pytest.approx(lam * fam.g(lam**2))
 
+    def test_identity_shape_returns_g(self):
+        g = mobius_minus_series(0.3, 20)
+        assert lacunary_expand(0, 1, g) is g
+        assert LacunarySeries(0, 1, g).expand() is g
+
+    @pytest.mark.parametrize("m, p", [(0, 1), (0, 2), (1, 1), (2, 3), (3, 2)])
+    def test_expand_matches_per_element_embedding(self, m, p):
+        g = schur_from_parameters((0.3 + 0.2j, -0.5j, 0.4), 12)
+        coeffs = [0j] * (m + p * g.truncation_order + 1)
+        for s, c in enumerate(g.coeffs):
+            coeffs[s * p + m] = c
+        got = LacunarySeries(m, p, g).expand()
+        assert got.coeffs == tuple(coeffs)
+        assert got.coefficient_bound == g.coefficient_bound
+        assert got.certificate is g.certificate
+
+    @pytest.mark.parametrize("m, p", [(0, 1), (2, 3)])
+    def test_expand_built_once_without_changing_identity(self, m, p):
+        fam = LacunarySeries(m, p, mobius_minus_series(0.4, 30))
+        twin = LacunarySeries(m, p, mobius_minus_series(0.4, 30))
+        before = (hash(fam), repr(fam))
+        assert fam.expand() is fam.expand()
+        assert (hash(fam), repr(fam)) == before
+        assert fam == twin and hash(fam) == hash(twin)
+        assert series_from_json(series_to_json(fam)) == fam
+
 
 class TestTailBound:
     def test_zero_bound(self):
@@ -181,19 +207,44 @@ class TestTailBound:
 
 
 class TestConstructorInvariants:
+    def test_rejects_empty_coefficients(self):
+        for empty in ((), []):
+            with pytest.raises(ValueError, match="^a series needs at least its constant"):
+                CoefficientSeries(empty)
+
     def test_rejects_large_constant(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^constant coefficient must lie in the closed"):
             CoefficientSeries((1.5 + 0j,))
 
     def test_unimodular_constant_forces_zeros(self):
-        with pytest.raises(ValueError):
-            CoefficientSeries((1.0 + 0j, 0.5 + 0j))
+        message = r"^\|c_0\| = 1 forces a constant function"
+        for coeffs in ((1.0 + 0j, 0.5 + 0j), (1j, 0j, 0j, 1e-8), (1.0 - 1e-13, 0j, 2e-9)):
+            for certificate in Certificate:
+                with pytest.raises(ValueError, match=message):
+                    CoefficientSeries(coeffs, 0.0, certificate)
         s = CoefficientSeries((1.0 + 0j,), 0.0, Certificate.SCHUR_EXACT)
         assert s.is_degenerate
+        # tails within the constructor tolerance are roundoff, not a violation
+        assert CoefficientSeries((-1.0 + 0j, 1e-10j, -1e-9)).is_degenerate
 
     def test_exact_certificate_enforces_coefficient_cap(self):
-        with pytest.raises(ValueError):
-            CoefficientSeries((0.8 + 0j, 0.9 + 0j), 0.0, Certificate.SCHUR_EXACT)
+        cap = 1.0 - 0.8 * 0.8 + 1e-9
+        # several violations: the message names the first, not the largest
+        for coeffs, s, c in (
+            ((0.8, 0.9), 1, 0.9),
+            ((0.8, 0.1, 0.5j, -0.2, 0.9), 2, 0.5),
+            ((0.8, 0.1, 0.36, 0.4, 0.9, 0.37), 3, 0.4),
+        ):
+            message = f"coefficient c_{s} violates |c_s| <= 1 - |c_0|^2 ({c!r} > {cap!r})"
+            with pytest.raises(ValueError) as info:
+                CoefficientSeries(coeffs, 0.0, Certificate.SCHUR_EXACT)
+            assert str(info.value) == message
+            unchecked = CoefficientSeries(coeffs, 0.0, Certificate.SCHUR_SAMPLED)
+            with pytest.raises(ValueError) as info:
+                unchecked.with_certificate(Certificate.SCHUR_EXACT)
+            assert str(info.value) == message
+        at_cap = CoefficientSeries((0.8, 0.36, -0.36j), 0.0, Certificate.SCHUR_EXACT)
+        assert at_cap.truncation_order == 2
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.1, float("nan"))])
     def test_rejects_non_finite_coefficients(self, bad):
@@ -203,8 +254,15 @@ class TestConstructorInvariants:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_rejects_non_finite_bound(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^coefficient_bound must lie in"):
             CoefficientSeries((0.1 + 0j, 0.2 + 0j), bad)
+
+    @pytest.mark.parametrize("bad", [-1e-300, -0.5, 1.0 + 1e-15, 2.0, float("-inf")])
+    def test_rejects_bound_outside_unit_interval(self, bad):
+        message = f"coefficient_bound must lie in [0, 1], got {bad!r}"
+        with pytest.raises(ValueError) as info:
+            CoefficientSeries((0.1 + 0j, 0.2 + 0j), bad)
+        assert str(info.value) == message
 
     def test_boundary_invariant_for_exact_series(self):
         rng = np.random.default_rng(9)
