@@ -339,11 +339,13 @@ def _run_sweep(args) -> int:
 
 def _run_sharpness(args) -> int:
     kind = _kind_from_args(args)
-    if kind.tag is FunctionalTag.LEMMA_TAIL:
-        raise _UsageError("LEMMA_TAIL has no sharp radius and so no sharpness witness")
+    try:  # LEMMA_TAIL has no sharp radius; parameters past the cap have none computed
+        radius = theorem_radius(kind)
+    except ValueError as exc:
+        raise _UsageError(f"no sharp radius for {kind.label()}: {exc}")
     r = args.r
     if r is None:
-        r = theorem_radius(kind) + 0.01
+        r = radius + 0.01
     elif not 0.0 < r < MAX_EVAL_RADIUS:  # also rejects NaN
         raise _UsageError(f"--r must lie in (0, {MAX_EVAL_RADIUS}), got {r!r}")
     try:

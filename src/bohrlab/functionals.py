@@ -6,6 +6,12 @@ certified bound for the dropped terms.  Reports carry ``margin = value +
 tail_error - 1`` so a nonpositive margin certifies the inequality at that
 radius: the tail always lands on the unsafe side.
 
+Each formula is written once, as a private helper over moduli rows of shape
+``(..., T+1)`` with a per-row coefficient bound (a float or an array): it
+indexes only the last axis and returns ``(value, tail)``.  The public
+evaluators check their inputs and pass one row; randomized campaigns pass a
+whole batch of rows through the same helpers.
+
 The gap-sum evaluator also accepts an index shift for its squared block.
 One of the norm-type statements indexes that block at ``s + m`` while the
 linear block runs over ``s >= N``; the shift reproduces that asymmetric
@@ -22,6 +28,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .radii import _check_p_exp
 from .series import (
     Certificate,
     CoefficientSeries,
@@ -30,6 +37,7 @@ from .series import (
     RadiusError,
     TailWeight,
     tail_bound,
+    weighted_tail,
 )
 
 __all__ = [
@@ -47,7 +55,6 @@ __all__ = [
     "eval_rogosinski",
     "eval_rogosinski_center",
     "lemma_tail_bound_check",
-    "report_csv_fields",
     "report_to_json",
     "s_star",
     "zero_schwarz_slice",
@@ -123,8 +130,7 @@ class FunctionalKind:
         elif t is FunctionalTag.I_M:
             if self.d is None:
                 raise ValueError("I_M requires the weight sequence d")
-            if any(x < 0.0 for x in self.d):
-                raise ValueError("weights d_i must be nonnegative")
+            _check_weights(self.d)
         else:  # LEMMA_TAIL
             if self.n is None or self.n < 1:
                 raise ValueError("LEMMA_TAIL requires an integer N >= 1")
@@ -168,9 +174,11 @@ class FunctionalKind:
         return f"{self.tag.value}({inner})"
 
 
-def _check_p_exp(p_exp) -> None:
-    if p_exp is None or not 0.0 < float(p_exp) <= 2.0:
-        raise ValueError("the center exponent must lie in (0, 2]")
+def _check_weights(d: Sequence[float]) -> tuple[float, ...]:
+    d = tuple(float(x) for x in d)
+    if not all(math.isfinite(x) and x >= 0.0 for x in d):
+        raise ValueError(f"weights d_i must be finite and nonnegative, got {list(d)!r}")
+    return d
 
 
 def _check_radius(r: float, *, allow_zero: bool = False) -> float:
@@ -220,6 +228,114 @@ def _report(
     )
 
 
+def _moduli(f: CoefficientSeries) -> np.ndarray:
+    return np.abs(np.asarray(f.coeffs))
+
+
+# ---------------------------------------------------------------------------
+# The formulas.  ``mods`` holds moduli rows of shape (..., T+1) and ``bound``
+# the per-row bound on every dropped coefficient; each helper indexes the last
+# axis only and returns (value, tail).
+# ---------------------------------------------------------------------------
+
+
+def _lacunary_terms(mods, bound, p: int, m: int, r: float):
+    """Refined sum of lam^m g(lam^p) from the moduli of ``g``; tails geometric in r^p."""
+    T = mods.shape[-1] - 1
+    rp = r**p
+    rm = r**m
+    powers = rp ** np.arange(T + 1)
+    linear = rm * (mods @ powers)
+    lin_tail = rm * weighted_tail(bound, rp, T, TailWeight.LINEAR)
+    sq = rm * rm * (mods[..., 1:] ** 2 @ powers[1:] ** 2)
+    sq_tail = rm * rm * weighted_tail(bound, rp, T, TailWeight.SQUARED)
+    # Where r^m underflows the squared sum is empty and the bracket infinite.
+    if not (sq + sq_tail > 0.0).any():
+        return linear, lin_tail
+    bracket = 1.0 / (rm * (1.0 + mods[..., 0])) + r ** (p - m) / (1.0 - rp)
+    return linear + bracket * sq, lin_tail + bracket * sq_tail
+
+
+def _gap_terms(mods, bound, m: int, n: int, r: float, squared_shift: int = 0):
+    """Refined sum over the support {m} | {s >= N}; see :func:`eval_gap_sum`."""
+    T = mods.shape[-1] - 1
+    pm = (mods[..., m] if m <= T else 0.0) * r**m
+    linear = pm + mods[..., n:] @ r ** np.arange(n, T + 1, dtype=float)
+    lin_tail = weighted_tail(bound, r, T, TailWeight.LINEAR)
+    start = n + squared_shift
+    sq = mods[..., start:] ** 2 @ r ** (2.0 * np.arange(start, T + 1, dtype=float))
+    sq_tail = weighted_tail(bound, r, T, TailWeight.SQUARED)
+    # The bracket divides by r^m + |P_m| and by r^(m-1): when its sum is empty
+    # (r = 0, or r^s underflowing) it is never formed.
+    if not (sq + sq_tail > 0.0).any():
+        return linear, lin_tail
+    bracket = 1.0 / (r**m + pm) + r ** (1 - m) / (1.0 - r)
+    return linear + bracket * sq, lin_tail + bracket * sq_tail
+
+
+def _rogosinski_terms(mods, bound, n: int, r: float, head, head_err):
+    """``head`` plus the tail sums of :func:`eval_rogosinski`, t = floor((N-1)/2)."""
+    T = mods.shape[-1] - 1
+    linear = mods[..., n:] @ r ** np.arange(n, T + 1, dtype=float)
+    lin_tail = weighted_tail(bound, r, T, TailWeight.LINEAR)
+    t = (n - 1) // 2
+    middle = 0.0
+    mid_tail = 0.0
+    if t >= 1:
+        middle = (mods[..., 1 : min(t, T) + 1] ** 2).sum(axis=-1) * r**n / (1.0 - r)
+        if t > T:
+            mid_tail = (t - T) * bound * bound * r**n / (1.0 - r)
+    sq = mods[..., t + 1 :] ** 2 @ r ** (2.0 * np.arange(t + 1, T + 1, dtype=float))
+    sq_tail = weighted_tail(bound, r, T, TailWeight.SQUARED)
+    bracket = 1.0 / (1.0 + mods[..., 0]) + r / (1.0 - r)
+    value = head + linear + middle + bracket * sq
+    tail = head_err + lin_tail + mid_tail + bracket * sq_tail
+    return value, tail
+
+
+def _center_power(x, df, p_exp: float):
+    """``x^p`` and the certified increment ``(x + df)^p - x^p`` (p is monotone)."""
+    head = x**p_exp
+    return head, (x + df) ** p_exp - head
+
+
+def _energy(mods, bound, r: float):
+    """Weighted coefficient energy ``sum_s s |P_s|^2`` and its S_STAR tail."""
+    T = mods.shape[-1] - 1
+    s = np.arange(1, T + 1, dtype=float)
+    head = (s * mods[..., 1:] ** 2) @ r ** (2.0 * s)
+    return head, weighted_tail(bound, r, T, TailWeight.S_STAR)
+
+
+def _improved_terms(mods, bound, d: Sequence[float], r: float):
+    """Refined sum at m = 0, N = 1 plus ``G(S*) = sum_i d_i S*^i``."""
+    value, tail = _gap_terms(mods, bound, 0, 1, r)
+    energy, energy_tail = _energy(mods, bound, r)
+    g_val = 0.0
+    g_err = 0.0
+    for i, weight in enumerate(d, start=1):
+        if weight == 0.0:
+            continue
+        g_val += weight * energy**i
+        g_err += weight * ((energy + energy_tail) ** i - energy**i)
+    return value + g_val, tail + g_err
+
+
+def _lemma_rhs(c0, n: int, r: float):
+    return (1.0 - c0**2) * r**n / (1.0 - r)
+
+
+def _lemma_sides(mods, bound, n: int, r: float):
+    """The refined tail bound's LHS with its tail certificates, and its RHS."""
+    value, tail = _rogosinski_terms(mods, bound, n, r, 0.0, 0.0)
+    return value + tail, _lemma_rhs(mods[..., 0], n, r)
+
+
+# ---------------------------------------------------------------------------
+# Public evaluators: input checks, one row, a report.
+# ---------------------------------------------------------------------------
+
+
 def eval_lacunary_sum(f: LacunarySeries, r: float) -> EvaluationReport:
     """Refined sum for a slice supported on ``{s*p + m}``.
 
@@ -232,19 +348,7 @@ def eval_lacunary_sum(f: LacunarySeries, r: float) -> EvaluationReport:
     if not 0 <= m <= p:
         raise ValueError("the lacunary sum requires 0 <= m <= p")
     r = _check_radius(r)
-    mods = np.abs(np.asarray(g.coeffs))
-    rp = r**p
-    rm = r**m
-    powers = rp ** np.arange(mods.size)
-    linear = rm * float(np.dot(mods, powers))
-    lin_tail = rm * tail_bound(g, rp, TailWeight.LINEAR)
-    sq = rm * rm * float(np.dot(mods[1:] ** 2, (powers[1:] ** 2)))
-    sq_tail = rm * rm * tail_bound(g, rp, TailWeight.SQUARED)
-    value, tail = linear, lin_tail
-    if sq > 0.0 or sq_tail > 0.0:
-        bracket = 1.0 / (rm * (1.0 + mods[0])) + r ** (p - m) / (1.0 - rp)
-        value += bracket * sq
-        tail += bracket * sq_tail
+    value, tail = _lacunary_terms(_moduli(g), g.coefficient_bound, p, m, r)
     return _report("A_PM", {"p": p, "m": m}, r, value, tail, _describe(f), _certified(g))
 
 
@@ -271,27 +375,14 @@ def eval_gap_sum(
     if squared_shift < 0:
         raise ValueError("squared_shift must be >= 0")
     r = _check_radius(r, allow_zero=True)
-    mods = np.abs(np.asarray(f.coeffs))
-    T = f.truncation_order
-    for s in range(min(n, T + 1)):
+    mods = _moduli(f)
+    for s in range(min(n, mods.size)):
         if s != m and mods[s] > _SUPPORT_TOL:
             raise SupportError(
                 f"coefficient c_{s} = {mods[s]!r} violates the support "
                 f"{{{m}}} | {{s >= {n}}}"
             )
-    pm = (mods[m] if m <= T else 0.0) * r**m
-    idx = np.arange(n, T + 1, dtype=float)
-    linear = pm + float(np.dot(mods[n:], r**idx))
-    lin_tail = tail_bound(f, r, TailWeight.LINEAR)
-    start = n + squared_shift
-    sq_idx = np.arange(start, T + 1, dtype=float)
-    sq = float(np.dot(mods[start:] ** 2, r ** (2.0 * sq_idx)))
-    sq_tail = tail_bound(f, r, TailWeight.SQUARED)
-    value, tail = linear, lin_tail
-    if sq > 0.0 or sq_tail > 0.0:
-        bracket = 1.0 / (r**m + pm) + r ** (1 - m) / (1.0 - r)
-        value += bracket * sq
-        tail += bracket * sq_tail
+    value, tail = _gap_terms(mods, f.coefficient_bound, m, n, r, squared_shift)
     params: dict[str, object] = {"n": n, "m": m}
     if squared_shift:
         params["squared_shift"] = squared_shift
@@ -344,9 +435,7 @@ def _composed_center(
     df = tail_bound(f, zmag, TailWeight.LINEAR)
     if dw > 0.0:
         df += dw / (1.0 - min(zmag + dw, MAX_EVAL_RADIUS)) ** 2
-    head = x**p_exp
-    err = (x + df) ** p_exp - head
-    return head, err
+    return _center_power(x, df, p_exp)
 
 
 def _rogosinski_core(
@@ -357,38 +446,14 @@ def _rogosinski_core(
     w: CoefficientSeries,
     kind: str,
     params: dict,
-    descriptor: str,
 ) -> EvaluationReport:
     _check_p_exp(p_exp)
     if n < 1:
         raise ValueError("N must be >= 1")
     r = _check_radius(r)
     head, head_err = _composed_center(f, w, p_exp, r)
-    mods = np.abs(np.asarray(f.coeffs))
-    T = f.truncation_order
-    b = f.coefficient_bound
-
-    idx = np.arange(n, T + 1, dtype=float)
-    linear = float(np.dot(mods[n:], r**idx))
-    lin_tail = tail_bound(f, r, TailWeight.LINEAR)
-
-    t = (n - 1) // 2
-    middle = 0.0
-    mid_tail = 0.0
-    if t >= 1:
-        upto = min(t, T)
-        middle = float(np.sum(mods[1 : upto + 1] ** 2)) * r**n / (1.0 - r)
-        if t > T:
-            mid_tail = (t - T) * b * b * r**n / (1.0 - r)
-
-    sq_idx = np.arange(t + 1, T + 1, dtype=float)
-    sq = float(np.dot(mods[t + 1 :] ** 2, r ** (2.0 * sq_idx)))
-    sq_tail = tail_bound(f, r, TailWeight.SQUARED)
-    bracket = 1.0 / (1.0 + mods[0]) + r / (1.0 - r)
-
-    value = head + linear + middle + bracket * sq
-    tail = head_err + lin_tail + mid_tail + bracket * sq_tail
-    return _report(kind, params, r, value, tail, descriptor, _certified(f))
+    value, tail = _rogosinski_terms(_moduli(f), f.coefficient_bound, n, r, head, head_err)
+    return _report(kind, params, r, value, tail, _describe(f), _certified(f))
 
 
 def eval_rogosinski(
@@ -414,7 +479,7 @@ def eval_rogosinski(
         w = monomial_schwarz_slice(schwarz_order)
     _check_schwarz_slice(w, schwarz_order)
     params = {"m": schwarz_order, "p_exp": p_exp, "n": n}
-    return _rogosinski_core(f, p_exp, n, r, w, "G_MPN", params, _describe(f))
+    return _rogosinski_core(f, p_exp, n, r, w, "G_MPN", params)
 
 
 def eval_rogosinski_center(
@@ -422,24 +487,13 @@ def eval_rogosinski_center(
 ) -> EvaluationReport:
     """The order-infinity limit: the composed center collapses to |f(0)|^p."""
     params = {"p_exp": p_exp, "n": n}
-    return _rogosinski_core(
-        f, p_exp, n, r, zero_schwarz_slice(), "H_PN", params, _describe(f)
-    )
+    return _rogosinski_core(f, p_exp, n, r, zero_schwarz_slice(), "H_PN", params)
 
 
 def s_star(f: CoefficientSeries, r: float) -> float:
     """Weighted coefficient energy ``sum_s s |P_s(z)|^2`` with its tail added."""
-    head, tail = _s_star_parts(f, r)
-    return head + tail
-
-
-def _s_star_parts(f: CoefficientSeries, r: float) -> tuple[float, float]:
-    r = _check_radius(r, allow_zero=True)
-    mods = np.abs(np.asarray(f.coeffs))
-    T = f.truncation_order
-    s = np.arange(1, T + 1, dtype=float)
-    head = float(np.dot(s * mods[1:] ** 2, r ** (2.0 * s))) if T >= 1 else 0.0
-    return head, tail_bound(f, r, TailWeight.S_STAR)
+    head, tail = _energy(_moduli(f), f.coefficient_bound, _check_radius(r, allow_zero=True))
+    return float(head + tail)
 
 
 @lru_cache(maxsize=None)
@@ -491,9 +545,7 @@ def constraint_check(d: Sequence[float]) -> ConstraintResult:
     The first weight is the exact integer 8 (the endpoint maximum 4 doubled),
     so the boundary case d = (8/9,) lands at equality up to roundoff.
     """
-    d = tuple(float(x) for x in d)
-    if any(x < 0.0 for x in d):
-        raise ValueError("weights d_i must be nonnegative")
+    d = _check_weights(d)
     q = (3.0 / 8.0) ** 2
     lhs = 0.0
     for s, weight in enumerate(d, start=1):
@@ -518,19 +570,10 @@ def eval_improved_bohr(
         raise ConstraintViolation(
             f"weight constraint violated by excess {check.excess!r}"
         )
-    base = eval_gap_sum(f, 0, 1, r)
-    head, tail = _s_star_parts(f, r)
-    g_val = 0.0
-    g_err = 0.0
-    for i, weight in enumerate(d, start=1):
-        if weight == 0.0:
-            continue
-        g_val += weight * head**i
-        g_err += weight * ((head + tail) ** i - head**i)
-    value = base.value + g_val
-    total_tail = base.tail_error + g_err
+    r = _check_radius(r, allow_zero=True)
+    value, tail = _improved_terms(_moduli(f), f.coefficient_bound, d, r)
     params = {"d": list(float(x) for x in d)}
-    return _report("I_M", params, r, value, total_tail, _describe(f), _certified(f))
+    return _report("I_M", params, r, value, tail, _describe(f), _certified(f))
 
 
 def lemma_tail_bound_check(f: CoefficientSeries, n: int, r: float) -> float:
@@ -548,30 +591,7 @@ def lemma_tail_bound_check(f: CoefficientSeries, n: int, r: float) -> float:
     if n < 1:
         raise ValueError("N must be >= 1")
     r = _check_radius(r, allow_zero=True)
-    mods = np.abs(np.asarray(f.coeffs))
-    T = f.truncation_order
-    b = f.coefficient_bound
-
-    idx = np.arange(n, T + 1, dtype=float)
-    linear = float(np.dot(mods[n:], r**idx))
-    lin_tail = tail_bound(f, r, TailWeight.LINEAR)
-
-    t = (n - 1) // 2
-    middle = 0.0
-    mid_tail = 0.0
-    if t >= 1:
-        upto = min(t, T)
-        middle = float(np.sum(mods[1 : upto + 1] ** 2)) * r**n / (1.0 - r)
-        if t > T:
-            mid_tail = (t - T) * b * b * r**n / (1.0 - r)
-
-    sq_idx = np.arange(t + 1, T + 1, dtype=float)
-    sq = float(np.dot(mods[t + 1 :] ** 2, r ** (2.0 * sq_idx)))
-    sq_tail = tail_bound(f, r, TailWeight.SQUARED)
-    bracket = 1.0 / (1.0 + mods[0]) + r / (1.0 - r)
-
-    lhs = linear + middle + bracket * sq + lin_tail + mid_tail + bracket * sq_tail
-    rhs = (1.0 - mods[0] ** 2) * r**n / (1.0 - r)
+    lhs, rhs = _lemma_sides(_moduli(f), f.coefficient_bound, n, r)
     return rhs - lhs
 
 
@@ -582,16 +602,3 @@ def report_to_json(report: EvaluationReport) -> dict:
         "margin": report.margin,
         "inputs": dict(report.inputs),
     }
-
-
-def report_csv_fields(report: EvaluationReport) -> list:
-    inp = report.inputs
-    params = inp.get("params", {})
-    return [
-        inp.get("kind", ""),
-        ";".join(f"{k}={v}" for k, v in params.items()),
-        inp.get("r", ""),
-        report.value,
-        report.tail_error,
-        report.margin,
-    ]

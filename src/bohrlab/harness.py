@@ -6,9 +6,10 @@ reproduces the extremal constructions that push each functional above 1 just
 past its sharp radius, and runs seeded random sweeps over disk self-maps
 whose margins must stay nonpositive at the theorem radius.
 
-Campaigns evaluate through a vectorized path that mirrors the scalar
-evaluators coefficient-for-coefficient; the test suite pins the two routes
-against each other, so the fast path cannot drift from the canonical one.
+Campaigns evaluate a whole batch of sampled functions at once, through the
+same formula helpers of :mod:`bohrlab.functionals` that the scalar evaluators
+call on a single coefficient row; only the input checks and the reports are
+per function.
 
 Campaign functions come from ``count`` Schur parameters (8, plus the zeros a
 gap kind inserts).  The numerator and denominator of their continued fraction
@@ -33,19 +34,29 @@ from .functionals import (
     eval_rogosinski,
     eval_rogosinski_center,
     lemma_tail_bound_check,
-    monomial_schwarz_slice,
+    _center_power,
+    _certified,
+    _describe,
+    _gap_terms,
+    _improved_terms,
+    _lacunary_terms,
+    _lemma_rhs,
+    _lemma_sides,
     _report,
+    _rogosinski_terms,
 )
 from .radii import RadiusEquation, maximal_root, unique_root
 from .series import (
     Certificate,
     CoefficientSeries,
     LacunarySeries,
+    TailWeight,
     default_truncation,
     lacunary_expand,
     mobius_minus_series,
     mobius_series,
     schur_from_parameters,
+    weighted_tail,
 )
 
 __all__ = [
@@ -175,16 +186,15 @@ def evaluate_kind(
         return eval_improved_bohr(series, kind.d, r)
     # LEMMA_TAIL: slack s = rhs - lhs; report lhs-style margin against rhs.
     slack = lemma_tail_bound_check(series, kind.n, r)
-    mods = series.moduli()
-    rhs = (1.0 - mods[0] ** 2) * r**kind.n / (1.0 - r)
+    rhs = _lemma_rhs(abs(series.coeffs[0]), kind.n, r)
     return _report(
         "LEMMA_TAIL",
         {"n": kind.n},
         r,
         rhs - slack,
         0.0,
-        f"series(T={series.truncation_order}, cert={series.certificate.value})",
-        series.certificate is not Certificate.UNKNOWN,
+        _describe(series),
+        _certified(series),
         threshold=rhs,
     )
 
@@ -274,16 +284,15 @@ def sharpness_witness(
     T = default_truncation(r)
 
     if t is FunctionalTag.A_PM:
-        rp = r**kind.p
         if kind.m >= 1:
             r0p = radius**kind.p
             a = (1.0 - r0p) / (2.0 * r0p)
         else:
+            rp = r**kind.p
             c = rp / (1.0 - rp)  # > 1/2 above the radius
             a = 1.0 / (2.0 * c)
         fam = LacunarySeries(kind.m, kind.p, mobius_minus_series(a, T))
-        rep = eval_lacunary_sum(fam, r)
-        return _witness(kind, r, a, rep, exceed_by)
+        return _witness(kind, r, a, evaluate_kind(kind, fam, r), exceed_by)
 
     if t is FunctionalTag.D_NM:
         if kind.n != kind.m + 1:
@@ -293,9 +302,8 @@ def sharpness_witness(
         else:
             c = r / (1.0 - r)
             a = 1.0 / (2.0 * c)
-        series = lacunary_expand(kind.m, 1, mobius_minus_series(a, T))
-        rep = eval_gap_sum(series, kind.m, kind.n, r)
-        return _witness(kind, r, a, rep, exceed_by)
+        fam = LacunarySeries(kind.m, 1, mobius_minus_series(a, T))
+        return _witness(kind, r, a, evaluate_kind(kind, fam, r), exceed_by)
 
     # Limit-argument kinds: ascend a = 1 - 2^-k until the value clears 1.
     k = 1
@@ -305,17 +313,7 @@ def sharpness_witness(
             raise WitnessNotFoundError(
                 f"no witness for {kind.label()} at r={r!r} below the parameter cap"
             )
-        f = mobius_series(a, T)
-        if t is FunctionalTag.G_MPN:
-            rep = eval_rogosinski(f, kind.m, kind.p_exp, kind.n, r)
-        elif t is FunctionalTag.H_PN:
-            rep = eval_rogosinski_center(f, kind.p_exp, kind.n, r)
-        elif t is FunctionalTag.I_M:
-            if r <= 1.0 / 3.0:
-                raise ValueError("improved-sum witnesses need r > 1/3")
-            rep = eval_improved_bohr(f, kind.d, r)
-        else:
-            raise ValueError(f"no sharpness construction for {kind.label()}")
+        rep = evaluate_kind(kind, mobius_series(a, T), r)
         if rep.value > 1.0 + exceed_by:
             return _witness(kind, r, a, rep, exceed_by)
         k += 1
@@ -380,7 +378,7 @@ def campaign_function(kind: FunctionalKind, seed: int, trial: int, r: float | No
         r = theorem_radius(kind)
     rng = np.random.default_rng(seed)
     params = _sample_parameters(rng, trial + 1)
-    gamma = _shape_parameters(kind, params[trial])
+    gamma = [complex(c) for c in _shape_parameters(kind, params[trial])]
     g = schur_from_parameters(gamma, _campaign_truncation(r))
     if kind.tag is FunctionalTag.A_PM:
         return LacunarySeries(kind.m, kind.p, g)
@@ -390,8 +388,8 @@ def campaign_function(kind: FunctionalKind, seed: int, trial: int, r: float | No
 
 
 # ---------------------------------------------------------------------------
-# Vectorized campaign internals.  These mirror the scalar evaluators; the
-# test suite pins both routes against each other on sampled trials.
+# Campaign internals: sampled parameter rows, their batch Taylor coefficients,
+# and the batch margins through the shared formula helpers.
 # ---------------------------------------------------------------------------
 
 
@@ -404,14 +402,10 @@ def _sample_parameters(rng: np.random.Generator, trials: int) -> np.ndarray:
     return radii * np.exp(1j * angles)
 
 
-def _shape_parameters(kind: FunctionalKind, row: np.ndarray) -> list[complex]:
-    """Insert the zero parameters that carve out the kind's support gap."""
-    gamma = [complex(c) for c in row]
-    if kind.tag is FunctionalTag.D_NM:
-        gap = kind.n - kind.m - 1
-        if gap > 0:
-            gamma = gamma[:1] + [0j] * gap + gamma[1:]
-    return gamma
+def _shape_parameters(kind: FunctionalKind, params: np.ndarray) -> np.ndarray:
+    """Insert the zero parameters that carve out the kind's support gap (last axis)."""
+    gap = kind.n - kind.m - 1 if kind.tag is FunctionalTag.D_NM else 0
+    return np.insert(params, [1] * gap, 0j, axis=-1) if gap > 0 else params
 
 
 def _campaign_truncation(r: float) -> int:
@@ -449,153 +443,33 @@ def _batch_schur(params: np.ndarray, T: int) -> tuple[np.ndarray, np.ndarray]:
     return coeffs, 1.0 - np.abs(coeffs[:, 0]) ** 2
 
 
-def _geom_tail(bound: np.ndarray, r: float, T: int) -> np.ndarray:
-    return bound * r ** (T + 1) / (1.0 - r)
-
-
-def _sq_tail(bound: np.ndarray, r: float, T: int) -> np.ndarray:
-    x = r * r
-    return bound**2 * x ** (T + 1) / (1.0 - x)
-
-
-def _sstar_tail(bound: np.ndarray, r: float, T: int) -> np.ndarray:
-    x = r * r
-    return bound**2 * x ** (T + 1) * ((T + 1) - T * x) / (1.0 - x) ** 2
-
-
 def _batch_margins(
     kind: FunctionalKind, params: np.ndarray, r: float
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Margins and tail certificates of every sampled row at radius ``r``."""
     t = kind.tag
-    if t is FunctionalTag.D_NM:
-        gap = kind.n - kind.m - 1
-        if gap > 0:
-            rows = np.concatenate(
-                [
-                    params[:, :1],
-                    np.zeros((params.shape[0], gap), dtype=complex),
-                    params[:, 1:],
-                ],
-                axis=1,
-            )
-        else:
-            rows = params
-    else:
-        rows = params
     T = _campaign_truncation(r)
-    coeffs, bound = _batch_schur(rows, T)
+    coeffs, bound = _batch_schur(_shape_parameters(kind, params), T)
     mods = np.abs(coeffs)
 
     if t is FunctionalTag.A_PM:
-        value, tail = _batch_lacunary(mods, bound, kind.p, kind.m, r, T)
+        value, tail = _lacunary_terms(mods, bound, kind.p, kind.m, r)
     elif t is FunctionalTag.D_NM:
-        value, tail = _batch_gap(mods, bound, kind.m, kind.n, r, T)
+        # The trial function is lam^m g(lam): m leading zero coefficients.
+        shifted = np.pad(mods, ((0, 0), (kind.m, 0)))
+        value, tail = _gap_terms(shifted, bound, kind.m, kind.n, r)
     elif t is FunctionalTag.G_MPN:
-        value, tail = _batch_rogosinski(
-            coeffs, mods, bound, kind.p_exp, kind.n, r, T, center_radius=r**kind.m
-        )
+        rho = r**kind.m  # the monomial Schwarz slice maps r to r^m
+        x = np.abs(coeffs @ (rho ** np.arange(T + 1, dtype=float)).astype(complex))
+        df = weighted_tail(bound, rho, T, TailWeight.LINEAR)
+        head, head_err = _center_power(x, df, kind.p_exp)
+        value, tail = _rogosinski_terms(mods, bound, kind.n, r, head, head_err)
     elif t is FunctionalTag.H_PN:
-        value, tail = _batch_rogosinski(
-            coeffs, mods, bound, kind.p_exp, kind.n, r, T, center_radius=0.0
-        )
+        head, head_err = _center_power(mods[:, 0], 0.0, kind.p_exp)
+        value, tail = _rogosinski_terms(mods, bound, kind.n, r, head, head_err)
     elif t is FunctionalTag.I_M:
-        value, tail = _batch_improved(mods, bound, kind.d, r, T)
-    elif t is FunctionalTag.LEMMA_TAIL:
-        lhs, rhs = _batch_lemma(mods, bound, kind.n, r, T)
+        value, tail = _improved_terms(mods, bound, kind.d, r)
+    else:  # LEMMA_TAIL: the margin is taken against the bound's right side
+        lhs, rhs = _lemma_sides(mods, bound, kind.n, r)
         return lhs - rhs, np.zeros_like(lhs)
-    else:
-        raise ValueError(f"no campaign evaluator for {kind.label()}")
     return value + tail - 1.0, tail
-
-
-def _batch_lacunary(mods, bound, p, m, r, T):
-    rp = r**p
-    rm = r**m
-    powers = rp ** np.arange(T + 1, dtype=float)
-    linear = rm * mods @ powers
-    sq = rm * rm * (mods[:, 1:] ** 2) @ (powers[1:] ** 2)
-    bracket = 1.0 / (rm * (1.0 + mods[:, 0])) + r ** (p - m) / (1.0 - rp)
-    value = linear + bracket * sq
-    tail = rm * _geom_tail(bound, rp, T) + bracket * rm * rm * _sq_tail(bound, rp, T)
-    return value, tail
-
-
-def _batch_gap(mods, bound, m, n, r, T):
-    # mods are coefficients of the undilated slice; the gap sum shifts by m.
-    j = np.arange(T + 1, dtype=float)
-    pm = mods[:, 0] * r**m
-    linear = pm + (mods[:, 1:] @ r ** (j[1:] + m))
-    sq = (mods[:, 1:] ** 2) @ r ** (2.0 * (j[1:] + m))
-    bracket = 1.0 / (r**m + pm) + r ** (1 - m) / (1.0 - r)
-    value = linear + bracket * sq
-    shifted_T = T + m
-    tail = _geom_tail(bound, r, shifted_T) + bracket * _sq_tail(bound, r, shifted_T)
-    return value, tail
-
-
-def _batch_rogosinski(coeffs, mods, bound, p_exp, n, r, T, center_radius):
-    if center_radius == 0.0:
-        head = mods[:, 0] ** p_exp
-        head_err = np.zeros_like(head)
-    else:
-        powers = center_radius ** np.arange(T + 1, dtype=float)
-        x = np.abs(coeffs @ powers.astype(complex))
-        df = _geom_tail(bound, center_radius, T)
-        head = x**p_exp
-        head_err = (x + df) ** p_exp - head
-    j = np.arange(T + 1, dtype=float)
-    linear = mods[:, n:] @ r ** j[n:]
-    t = (n - 1) // 2
-    middle = (mods[:, 1 : t + 1] ** 2).sum(axis=1) * r**n / (1.0 - r) if t >= 1 else 0.0
-    sq = (mods[:, t + 1 :] ** 2) @ r ** (2.0 * j[t + 1 :])
-    bracket = 1.0 / (1.0 + mods[:, 0]) + r / (1.0 - r)
-    value = head + linear + middle + bracket * sq
-    tail = head_err + _geom_tail(bound, r, T) + bracket * _sq_tail(bound, r, T)
-    return value, tail
-
-
-def _batch_improved(mods, bound, d, r, T):
-    j = np.arange(T + 1, dtype=float)
-    linear = mods[:, 0] + mods[:, 1:] @ r ** j[1:]
-    sq = (mods[:, 1:] ** 2) @ r ** (2.0 * j[1:])
-    bracket = 1.0 / (1.0 + mods[:, 0]) + r / (1.0 - r)
-    value = linear + bracket * sq
-    tail = _geom_tail(bound, r, T) + bracket * _sq_tail(bound, r, T)
-    sstar = (j[1:] * mods[:, 1:] ** 2) @ r ** (2.0 * j[1:])
-    stail = _sstar_tail(bound, r, T)
-    for i, weight in enumerate(d, start=1):
-        if weight == 0.0:
-            continue
-        value = value + weight * sstar**i
-        tail = tail + weight * ((sstar + stail) ** i - sstar**i)
-    return value, tail
-
-
-def _batch_lemma(mods, bound, n, r, T):
-    j = np.arange(T + 1, dtype=float)
-    linear = mods[:, n:] @ r ** j[n:]
-    t = (n - 1) // 2
-    middle = (mods[:, 1 : t + 1] ** 2).sum(axis=1) * r**n / (1.0 - r) if t >= 1 else 0.0
-    sq = (mods[:, t + 1 :] ** 2) @ r ** (2.0 * j[t + 1 :])
-    bracket = 1.0 / (1.0 + mods[:, 0]) + r / (1.0 - r)
-    lhs = (
-        linear
-        + middle
-        + bracket * sq
-        + _geom_tail(bound, r, T)
-        + bracket * _sq_tail(bound, r, T)
-    )
-    rhs = (1.0 - mods[:, 0] ** 2) * r**n / (1.0 - r)
-    return lhs, rhs
-
-
-def lemma_campaign_slacks(
-    trials: int, seed: int, n: int, r: float
-) -> np.ndarray:
-    """Conservative tail-bound slacks for a seeded batch of random functions."""
-    rng = np.random.default_rng(seed)
-    params = _sample_parameters(rng, trials)
-    T = _campaign_truncation(r)
-    coeffs, bound = _batch_schur(params, T)
-    lhs, rhs = _batch_lemma(np.abs(coeffs), bound, n, r, T)
-    return rhs - lhs

@@ -138,7 +138,7 @@ def _check_int(name: str, value, minimum: int) -> None:
 
 def _check_p_exp(p_exp) -> None:
     if p_exp is None or not 0.0 < float(p_exp) <= 2.0:
-        raise ValueError("the exponent must lie in (0, 2]")
+        raise ValueError("the center exponent must lie in (0, 2]")
 
 
 def _polynomial_terms(eq: RadiusEquation) -> list[tuple[float, int]]:

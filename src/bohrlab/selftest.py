@@ -23,7 +23,6 @@ from .functionals import (
 )
 from .harness import (
     empirical_radius,
-    lemma_campaign_slacks,
     proof_extremal,
     random_campaign,
     sharpness_witness,
@@ -190,8 +189,9 @@ def check_lemma_tail_bound() -> tuple[bool, str]:
     worst = np.inf
     for n in (1, 2, 3):
         for r in (0.2, 0.5, 0.8):
-            slacks = lemma_campaign_slacks(1000, seed=11, n=n, r=r)
-            worst = min(worst, float(slacks.min()))
+            # the campaign margin is LHS - RHS, so its maximum is minus the least slack
+            summary = random_campaign(FunctionalKind.tail_lemma(n), 1000, 11, r)
+            worst = min(worst, -summary.max_margin)
     return worst >= -1e-10, f"min slack = {worst:.3e} over 9 (N, r) combinations"
 
 

@@ -43,6 +43,7 @@ __all__ = [
     "series_to_json",
     "tail_bound",
     "truncation_cap",
+    "weighted_tail",
 ]
 
 #: Evaluations at or above this radius are rejected instead of being allowed
@@ -316,13 +317,8 @@ def lacunary_expand(m: int, p: int, g: CoefficientSeries) -> CoefficientSeries:
 def tail_bound(series: CoefficientSeries, r: float, weight: TailWeight) -> float:
     """Certified upper bound on the tail dropped beyond the truncation order.
 
-    With b = coefficient_bound, T = truncation_order and x = r^2:
-
-    * LINEAR:  b r^(T+1) / (1 - r)
-    * SQUARED: b^2 x^(T+1) / (1 - x)
-    * S_STAR:  b^2 x^(T+1) ((T+1) - T x) / (1 - x)^2
-
-    the last being the closed form of ``sum_{s>T} s x^s`` scaled by b^2.
+    The formulas are those of :func:`weighted_tail`, applied to the series'
+    coefficient bound and truncation order.
     """
     if r >= 1.0:
         raise RadiusError(f"tail bounds require r < 1, got {r!r}")
@@ -331,15 +327,28 @@ def tail_bound(series: CoefficientSeries, r: float, weight: TailWeight) -> float
     b = series.coefficient_bound
     if b == 0.0 or r == 0.0:
         return 0.0
-    T = series.truncation_order
-    weight = TailWeight(weight)
+    return weighted_tail(b, r, series.truncation_order, TailWeight(weight))
+
+
+def weighted_tail(bound, r: float, T: int, weight: TailWeight):
+    """Tail beyond order ``T`` of coefficients bounded by ``bound`` (a float or array).
+
+    With b = bound and x = r^2:
+
+    * LINEAR:  b r^(T+1) / (1 - r)
+    * SQUARED: b^2 x^(T+1) / (1 - x)
+    * S_STAR:  b^2 x^(T+1) ((T+1) - T x) / (1 - x)^2
+
+    the last being the closed form of ``sum_{s>T} s x^s`` scaled by b^2.
+    The radius is the caller's to check: 0 <= r < 1.
+    """
     if weight is TailWeight.LINEAR:
-        return b * r ** (T + 1) / (1.0 - r)
+        return bound * r ** (T + 1) / (1.0 - r)
     x = r * r
     xpow = x ** (T + 1)
     if weight is TailWeight.SQUARED:
-        return b * b * xpow / (1.0 - x)
-    return b * b * xpow * ((T + 1) - T * x) / (1.0 - x) ** 2
+        return bound * bound * xpow / (1.0 - x)
+    return bound * bound * xpow * ((T + 1) - T * x) / (1.0 - x) ** 2
 
 
 def truncation_cap() -> int:

@@ -97,6 +97,13 @@ class TestVerifyCommand:
         assert rc == EXIT_UNCERTIFIED
         assert "certificate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("d", ["nan", "inf", "0.5,nan", "-1"])
+    def test_bad_weights_usage_error(self, tmp_path, capsys, d):
+        path = _write_mobius(tmp_path)
+        rc = main(["verify", "--file", path, "--kind", "I_M", "--d", d, "--r", "0.3"])
+        assert rc == EXIT_USAGE
+        assert "weights d_i must be finite and nonnegative" in capsys.readouterr().err
+
     def test_lacunary_kind_from_file(self, tmp_path, capsys):
         fam = LacunarySeries(1, 2, mobius_minus_series(0.4, 150))
         path = tmp_path / "lac.json"
@@ -269,6 +276,20 @@ class TestSharpnessCommand:
         rc = main(["sharpness", "--kind", "A_PM", "--p", "0", "--m", "0", *extra])
         assert rc == EXIT_USAGE
         assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [[], ["--r", "0.5"]])
+    @pytest.mark.parametrize("kind", [["--kind", "D_NM", "--n", "100", "--m", "0"],
+                                      ["--kind", "A_PM", "--p", "65", "--m", "1"]])
+    def test_parameter_past_cap_usage_error(self, capsys, kind, extra):
+        rc = main(["sharpness", *kind, *extra])
+        assert rc == EXIT_USAGE
+        assert "exceeds the cap 64" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("d", ["nan", "inf"])
+    def test_bad_weights_usage_error(self, capsys, d):
+        rc = main(["sharpness", "--kind", "I_M", "--d", d])
+        assert rc == EXIT_USAGE
+        assert "weights d_i must be finite and nonnegative" in capsys.readouterr().err
 
     @pytest.mark.parametrize("r", ["nan", "0.999", "0.995", "0", "-0.2", "inf"])
     def test_radius_out_of_range_usage_error(self, capsys, r):

@@ -27,7 +27,8 @@ _RADII = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, -0.2, 0.0, 1.0 / 3.0, 0.995, 1.0, 2.0]),
     st.floats(min_value=1e-3, max_value=0.9),
 )
-_SMALL_INT = st.integers(min_value=-1, max_value=5)
+# Small values, plus the parameter cap (64) and values past it.
+_SMALL_INT = st.integers(min_value=-1, max_value=5) | st.sampled_from([64, 65, 1000])
 
 
 def _kind_flags():
@@ -86,7 +87,7 @@ def _check_stdout(text: str, fmt: str) -> None:
 
 
 def test_cli_contract(fixture_file):
-    @hypothesis.settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @hypothesis.settings(max_examples=300, deadline=None, database=None, derandomize=True)
     @hypothesis.given(argv=_argv(fixture_file))
     def check(argv):
         out, err = io.StringIO(), io.StringIO()

@@ -122,6 +122,14 @@ class TestGapSum:
         shifted = lacunary_expand(2, 1, mobius_minus_series(0.5, 60))
         assert eval_gap_sum(shifted, 2, 3, 0.0).value == 0.0
 
+    def test_underflowing_radius_forms_no_bracket(self):
+        # r^m underflows to 0: the squared block is empty and its bracket,
+        # which divides by r^m and r^(m-1), is never formed
+        shifted = lacunary_expand(3, 1, mobius_minus_series(0.5, 60))
+        assert eval_gap_sum(shifted, 3, 4, 1e-200).value == 0.0
+        lac = LacunarySeries(2, 2, mobius_minus_series(0.5, 60))
+        assert eval_lacunary_sum(lac, 1e-200).value == 0.0
+
     def test_support_violation(self):
         s = CoefficientSeries((0.1 + 0j, 0.2 + 0j, 0.3 + 0j), 0.0)
         with pytest.raises(SupportError):
@@ -309,6 +317,15 @@ class TestConstraint:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             constraint_check((-0.1,))
+
+    @pytest.mark.parametrize("d", [(float("nan"),), (float("inf"),), (0.5, float("nan")),
+                                   (-0.1,), (float("-inf"), 0.2)])
+    def test_weights_must_be_finite_and_nonnegative(self, d):
+        # NaN passes a plain "x < 0" test, so both entry points share one check
+        with pytest.raises(ValueError, match="weights d_i must be finite and nonnegative"):
+            constraint_check(d)
+        with pytest.raises(ValueError, match="weights d_i must be finite and nonnegative"):
+            FunctionalKind.improved(d)
 
 
 class TestImprovedSum:

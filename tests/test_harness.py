@@ -211,7 +211,7 @@ class TestRandomCampaign:
     def test_batch_agrees_with_scalar_route(self):
         # the vectorized campaign path must track the canonical evaluators
         for kind in ALL_CAMPAIGN_KINDS:
-            r = 0.45 if kind.tag is FunctionalTag.LEMMA_TAIL else theorem_radius(kind)
+            r = _golden_radius(kind)
             rng = np.random.default_rng(31)
             params = _sample_parameters(rng, 5)
             margins, _tails = _batch_margins(kind, params, r)
@@ -279,3 +279,319 @@ class TestBatchSchur:
     def test_constant_term_only(self):
         params = _sample_parameters(np.random.default_rng(14), 16)
         self._assert_matches_dense(params, 0)
+
+
+def _golden_radius(kind):
+    return 0.45 if kind.tag is FunctionalTag.LEMMA_TAIL else theorem_radius(kind)
+
+
+# Recorded at full repr when campaigns still had their own batch copy of every
+# formula, so these pin the shared formula helpers to arithmetic written
+# independently of them.  Per kind, at its theorem radius (0.45 for the lemma):
+# the batch margins and tails of 5 trials of seed 31, (value, tail_error,
+# margin) of the same trials through evaluate_kind, and the summary of
+# random_campaign(kind, 2000, 3, r) as (max_margin, argmax_trial, max_value,
+# max_tail_error).
+GOLDEN_MARGINS = [
+    (
+        FunctionalKind.lacunary(1, 0),
+        [
+            -0.04379690217021748, -0.29141449177837375, -0.32539896434468474, -0.2959401040677091,
+            -0.13157436629989394,
+        ],
+        [
+            9.659992986227304e-16, 5.29228652213939e-15, 5.022131918542882e-15,
+            5.730167729197478e-15, 4.3736755602420585e-15,
+        ],
+        [
+            (0.9562030978297815, 9.659992986227288e-16, -0.04379690217021748),
+            (0.7085855082216211, 5.29228652213939e-15, -0.29141449177837353),
+            (0.67460103565531, 5.022131918542882e-15, -0.32539896434468496),
+            (0.7040598959322852, 5.730167729197478e-15, -0.295940104067709),
+            (0.868425633700102, 4.3736755602420585e-15, -0.13157436629989372),
+        ],
+        (-0.0016162633783199931, 348, 0.9983837366216796, 7.284698046315966e-15),
+    ),
+    (
+        FunctionalKind.lacunary(2, 1),
+        [
+            -0.27018600504181256, -0.29211889224575294, -0.34831488590556714, -0.2439185892017952,
+            -0.14031403156296296,
+        ],
+        [
+            9.562618082613688e-34, 5.2389390827857764e-33, 4.9715076984010745e-33,
+            5.672406348716547e-33, 4.329587926149252e-33,
+        ],
+        [
+            (0.7298139949581873, 9.562618082613673e-34, -0.27018600504181267),
+            (0.7078811077542471, 5.2389390827857764e-33, -0.29211889224575294),
+            (0.6516851140944329, 4.9715076984010745e-33, -0.34831488590556714),
+            (0.7560814107982048, 5.672406348716547e-33, -0.2439185892017952),
+            (0.8596859684370373, 4.329587926149252e-33, -0.14031403156296274),
+        ],
+        (-0.017169536668894425, 680, 0.9828304633311056, 7.211266650338143e-33),
+    ),
+    (
+        FunctionalKind.lacunary(3, 2),
+        [
+            -0.315859357300863, -0.3060784665631491, -0.363265049297287, -0.25320757348622636,
+            -0.16026243900471515,
+        ],
+        [
+            3.064532755069614e-57, 1.6789231026805988e-56, 1.5932193518771863e-56,
+            1.8178363817867158e-56, 1.3875032863397388e-56,
+        ],
+        [
+            (0.684140642699137, 3.064532755069609e-57, -0.315859357300863),
+            (0.6939215334368509, 1.6789231026805988e-56, -0.3060784665631491),
+            (0.6367349507027131, 1.5932193518771863e-56, -0.36326504929728687),
+            (0.7467924265137736, 1.8178363817867158e-56, -0.25320757348622636),
+            (0.8397375609952848, 1.3875032863397388e-56, -0.16026243900471515),
+        ],
+        (-0.017234062901372083, 680, 0.9827659370986279, 2.3109950292464417e-56),
+    ),
+    (
+        FunctionalKind.gap(1, 0),
+        [
+            -0.04379690217021748, -0.29141449177837364, -0.32539896434468474, -0.2959401040677091,
+            -0.13157436629989394,
+        ],
+        [
+            9.659992986227304e-16, 5.29228652213939e-15, 5.022131918542882e-15,
+            5.730167729197478e-15, 4.3736755602420585e-15,
+        ],
+        [
+            (0.9562030978297815, 9.659992986227288e-16, -0.04379690217021748),
+            (0.7085855082216209, 5.29228652213939e-15, -0.29141449177837375),
+            (0.6746010356553103, 5.022131918542882e-15, -0.32539896434468474),
+            (0.7040598959322851, 5.730167729197478e-15, -0.2959401040677091),
+            (0.8684256337001015, 4.3736755602420585e-15, -0.13157436629989416),
+        ],
+        (-0.0016162633783199931, 348, 0.9983837366216796, 7.284698046315966e-15),
+    ),
+    (
+        FunctionalKind.gap(2, 1),
+        [
+            -0.38677098127487797, -0.32910139015225515, -0.38727281367537125,
+            -0.27025255317490327, -0.19384147047392353,
+        ],
+        [
+            2.7211233459481764e-16, 1.4907841475011906e-15, 1.414684299405035e-15,
+            1.6141309011661826e-15, 1.232020633094234e-15,
+        ],
+        [
+            (0.6132290187251218, 2.7211233459481715e-16, -0.38677098127487797),
+            (0.6708986098477433, 1.4907841475011906e-15, -0.32910139015225526),
+            (0.6127271863246273, 1.414684299405035e-15, -0.38727281367537125),
+            (0.729747446825095, 1.6141309011661826e-15, -0.2702525531749034),
+            (0.8061585295260751, 1.232020633094234e-15, -0.19384147047392364),
+        ],
+        (-0.017804802383824314, 1781, 0.9821951976161738, 2.052026533588101e-15),
+    ),
+    (
+        FunctionalKind.gap(3, 1),
+        [
+            -0.3321014136960456, -0.35633077840785987, -0.3618148149658298, -0.31982590129531585,
+            -0.23237935544374144,
+        ],
+        [
+            1.4003402632607917e-16, 7.671850188949828e-16, 7.280226334501055e-16,
+            8.306615333855126e-16, 6.340205416483032e-16,
+        ],
+        [
+            (0.6678985863039543, 1.4003402632607892e-16, -0.3321014136960456),
+            (0.6436692215921394, 7.671850188949828e-16, -0.35633077840785987),
+            (0.6381851850341693, 7.280226334501055e-16, -0.3618148149658299),
+            (0.6801740987046834, 8.306615333855126e-16, -0.31982590129531585),
+            (0.7676206445562576, 6.340205416483032e-16, -0.23237935544374178),
+        ],
+        (-0.18896337920367845, 1429, 0.8110366207963207, 1.0560107025437333e-15),
+    ),
+    (
+        FunctionalKind.gap(4, 1),
+        [
+            -0.29705978336461913, -0.3527953879295491, -0.3628039763861244, -0.34596270068773427,
+            -0.26188985827235545,
+        ],
+        [
+            5.0260187751124655e-17, 2.7535352729003805e-16, 2.612975946222299e-16,
+            2.9813614391388684e-16, 2.2755891762414407e-16,
+        ],
+        [
+            (0.7029402166353809, 5.026018775112457e-17, -0.29705978336461913),
+            (0.6472046120704507, 2.7535352729003805e-16, -0.3527953879295491),
+            (0.6371960236138754, 2.612975946222299e-16, -0.3628039763861244),
+            (0.6540372993122654, 2.9813614391388684e-16, -0.34596270068773427),
+            (0.7381101417276443, 2.2755891762414407e-16, -0.26188985827235545),
+        ],
+        (-0.2442590915396572, 675, 0.7557409084603426, 3.7901714011604195e-16),
+    ),
+    (
+        FunctionalKind.rogosinski(2, 1.0, 2),
+        [
+            -0.047201231221195794, -0.38693563095002514, -0.2751957608607346, -0.313585113786205,
+            -0.2986077930712512,
+        ],
+        [
+            9.95177320937082e-16, 5.4521401104981864e-15, 5.173825483324745e-15,
+            5.903247525534678e-15, 4.505782491659529e-15,
+        ],
+        [
+            (0.9527987687788034, 9.951773209370802e-16, -0.04720123122119557),
+            (0.6130643690499694, 5.4521401104981864e-15, -0.38693563095002514),
+            (0.7248042391392602, 5.173825483324745e-15, -0.2751957608607346),
+            (0.6864148862137891, 5.903247525534678e-15, -0.313585113786205),
+            (0.7013922069287443, 4.505782491659529e-15, -0.2986077930712512),
+        ],
+        (-0.001867703762201689, 348, 0.9981322962377979, 7.504732452605665e-15),
+    ),
+    (
+        FunctionalKind.rogosinski(3, 2.0, 5),
+        [
+            -0.11937930804662045, -0.5089815378024446, -0.403335544046882, -0.4080997306818748,
+            -0.49268605444429703,
+        ],
+        [
+            1.0182405425800766e-16, 5.578493387599262e-16, 5.293728822512301e-16,
+            6.04005521119079e-16, 4.610203943087309e-16,
+        ],
+        [
+            (0.880620691953379, 1.018240542580075e-16, -0.11937930804662089),
+            (0.49101846219755485, 5.578493387599262e-16, -0.5089815378024446),
+            (0.5966644559531176, 5.293728822512301e-16, -0.4033355440468819),
+            (0.5919002693181249, 6.04005521119079e-16, -0.40809973068187455),
+            (0.5073139455557023, 4.610203943087309e-16, -0.49268605444429725),
+        ],
+        (-0.003203541364355522, 348, 0.9967964586356445, 7.678654530897007e-16),
+    ),
+    (
+        FunctionalKind.rogosinski_center(1.0, 1),
+        [
+            -0.0437969021702177, -0.291414491778375, -0.32539896434468585, -0.29594010406771076,
+            -0.13157436629989572,
+        ],
+        [
+            9.65999298622593e-16, 5.292286522138637e-15, 5.022131918542168e-15,
+            5.730167729196664e-15, 4.373675560241437e-15,
+        ],
+        [
+            (0.9562030978297814, 9.659992986225913e-16, -0.04379690217021759),
+            (0.7085855082216197, 5.292286522138637e-15, -0.291414491778375),
+            (0.6746010356553092, 5.022131918542168e-15, -0.32539896434468585),
+            (0.7040598959322835, 5.730167729196664e-15, -0.29594010406771076),
+            (0.8684256337001, 4.373675560241437e-15, -0.13157436629989572),
+        ],
+        (-0.0016162633783202152, 348, 0.9983837366216793, 7.284698046314929e-15),
+    ),
+    (
+        FunctionalKind.rogosinski_center(2.0, 3),
+        [
+            -0.061885210719956896, -0.21154661511252015, -0.2634229353265882,
+            -0.23843271930611254, -0.09289184398802963,
+        ],
+        [
+            1.520195201257905e-16, 8.328482832346499e-16, 7.903339943971035e-16,
+            9.017577442083577e-16, 6.882862759857595e-16,
+        ],
+        [
+            (0.9381147892800432, 1.5201952012579022e-16, -0.061885210719956674),
+            (0.788453384887479, 8.328482832346499e-16, -0.21154661511252015),
+            (0.7365770646734109, 7.903339943971035e-16, -0.26342293532658834),
+            (0.7615672806938866, 9.017577442083577e-16, -0.23843271930611254),
+            (0.9071081560119695, 6.882862759857595e-16, -0.09289184398802985),
+        ],
+        (-0.001509072801265221, 348, 0.9984909271987347, 1.1463945189619973e-15),
+    ),
+    (
+        FunctionalKind.improved((8.0 / 9.0,)),
+        [
+            -0.043487253712878204, -0.27523439419314066, -0.3188943393509226,
+            -0.27124295801248144, -0.10604026329288041,
+        ],
+        [
+            9.659992986226369e-16, 5.292286522138878e-15, 5.022131918542397e-15,
+            5.730167729196924e-15, 4.373675560241636e-15,
+        ],
+        [
+            (0.9565127462871208, 9.659992986226353e-16, -0.043487253712878204),
+            (0.724765605806854, 5.292286522138878e-15, -0.27523439419314066),
+            (0.6811056606490724, 5.022131918542397e-15, -0.3188943393509226),
+            (0.7287570419875129, 5.730167729196924e-15, -0.27124295801248133),
+            (0.8939597367071153, 4.373675560241636e-15, -0.10604026329288041),
+        ],
+        (-0.0011584857139581572, 348, 0.9988415142860414, 7.28469804631526e-15),
+    ),
+    (
+        FunctionalKind.improved((0.5, 0.3)),
+        [
+            -0.0436226885077039, -0.28221378638580263, -0.32172404815201694, -0.28181636939186994,
+            -0.11696388074723274,
+        ],
+        [
+            9.659992986226369e-16, 5.292286522138878e-15, 5.022131918542397e-15,
+            5.730167729196924e-15, 4.373675560241636e-15,
+        ],
+        [
+            (0.9563773114922951, 9.659992986226353e-16, -0.0436226885077039),
+            (0.717786213614192, 5.292286522138878e-15, -0.28221378638580263),
+            (0.6782759518479781, 5.022131918542397e-15, -0.32172404815201694),
+            (0.7181836306081243, 5.730167729196924e-15, -0.28181636939186994),
+            (0.8830361192527629, 4.373675560241636e-15, -0.11696388074723274),
+        ],
+        (-0.001358683874655875, 348, 0.9986413161253437, 7.28469804631526e-15),
+    ),
+    (
+        FunctionalKind.tail_lemma(2),
+        [
+            -0.019463133755905675, -0.13452206479325984, -0.09700661969366323,
+            -0.09647722972622041, -0.056656267553581274,
+        ],
+        [0.0, 0.0, 0.0, 0.0, 0.0],
+        [
+            (0.029355489955852434, 0.0, -0.019463133755905682),
+            (0.13293376531706266, 0.0, -0.13452206479325982),
+            (0.15679643038278085, 0.0, -0.0970066196936632),
+            (0.1931077653931212, 0.0, -0.09647722972622041),
+            (0.1643757991541178, 0.0, -0.0566562675535813),
+        ],
+        (-0.0005049936514100774, 1399, 0.9994950063485899, 0.0),
+    ),
+    (
+        FunctionalKind.tail_lemma(5),
+        [
+            -0.00178811245166934, -0.006738383890198464, -0.01036262259013385,
+            -0.010187136069422103, -0.003584137634144887,
+        ],
+        [0.0, 0.0, 0.0, 0.0, 0.0],
+        [
+            (0.0026604846340646158, 0.0, -0.0017881124516693427),
+            (0.017633528628604667, 0.0, -0.006738383890198468),
+            (0.012765180348082111, 0.0, -0.010362622590133852),
+            (0.016201296610827896, 0.0, -0.01018713606942211),
+            (0.016557409444594183, 0.0, -0.0035841376341448974),
+        ],
+        (-5.2980813027767503e-05, 392, 0.9999470191869723, 0.0),
+    ),
+]
+
+
+class TestGoldenMargins:
+    @pytest.mark.parametrize(
+        "kind, margins, tails, scalar, summary",
+        GOLDEN_MARGINS,
+        ids=[row[0].label() for row in GOLDEN_MARGINS],
+    )
+    def test_both_routes_match_record(self, kind, margins, tails, scalar, summary):
+        r = _golden_radius(kind)
+        params = _sample_parameters(np.random.default_rng(31), 5)
+        got_margins, got_tails = _batch_margins(kind, params, r)
+        assert got_margins.tolist() == pytest.approx(margins, rel=0, abs=1e-12)
+        assert got_tails.tolist() == pytest.approx(tails, rel=0, abs=1e-12)
+        for trial, row in enumerate(scalar):
+            rep = evaluate_kind(kind, campaign_function(kind, seed=31, trial=trial, r=r), r)
+            assert (rep.value, rep.tail_error, rep.margin) == pytest.approx(row, rel=0, abs=1e-12)
+        got = random_campaign(kind, 2000, 3, r)
+        assert got.argmax_trial == summary[1]
+        assert (got.max_margin, got.max_value, got.max_tail_error) == pytest.approx(
+            (summary[0], summary[2], summary[3]), rel=0, abs=1e-12
+        )

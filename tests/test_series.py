@@ -19,6 +19,7 @@ from bohrlab.series import (
     series_from_json,
     series_to_json,
     tail_bound,
+    weighted_tail,
 )
 
 
@@ -204,6 +205,15 @@ class TestTailBound:
         s = mobius_series(0.5, 5)
         with pytest.raises(RadiusError):
             tail_bound(s, 1.0, TailWeight.LINEAR)
+
+    @pytest.mark.parametrize("weight", list(TailWeight))
+    def test_row_bounds_match_per_series(self, weight):
+        # one call over an array of bounds equals tail_bound series by series
+        series = [mobius_series(a, 40) for a in (0.0, 0.3, 0.9)] + [
+            schur_from_parameters([0.4 + 0j], 40)]
+        bounds = np.array([s.coefficient_bound for s in series])
+        rows = weighted_tail(bounds, 0.55, 40, weight)
+        assert rows.tolist() == [tail_bound(s, 0.55, weight) for s in series]
 
 
 class TestConstructorInvariants:
