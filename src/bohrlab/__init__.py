@@ -29,6 +29,7 @@ from .functionals import (
 from .harness import (
     CampaignSummary,
     NO_CROSSING,
+    NotSharpError,
     WitnessNotFoundError,
     WitnessReport,
     empirical_radius,

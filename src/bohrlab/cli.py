@@ -20,16 +20,18 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 from typing import Sequence
 
 import numpy as np
 
 from . import selftest as selftest_mod
-from .functionals import FunctionalKind, FunctionalTag, report_to_json
-from .harness import evaluate_kind, sharpness_witness, theorem_radius
+from .functionals import KINDS, FunctionalKind, FunctionalTag, report_to_json
+from .harness import NotSharpError, evaluate_kind, sharpness_witness
 from .radii import (
     PARAMETER_CAP,
+    NoRootError,
     RadiusEquation,
     RadiusKind,
     equation_value,
@@ -103,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _kind_flags(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--kind", required=True,
-                     choices=[t.value for t in FunctionalTag])
+                     choices=[t.value for t in KINDS])
     cmd.add_argument("--p", type=int, default=None)
     cmd.add_argument("--m", type=int, default=None)
     cmd.add_argument("--n", type=int, default=None)
@@ -145,6 +147,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except _ParseError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 def entrypoint() -> None:
@@ -216,36 +221,23 @@ def _run_radii(args) -> int:
 
 def _kind_from_args(args, fallback=None) -> FunctionalKind:
     tag = FunctionalTag(args.kind)
-    d = None
-    if args.d is not None:
+    spec = KINDS[tag]
+    values = {name: getattr(args, name) for name in spec.params}
+    if values.get("d") is not None:
         try:
-            d = tuple(float(x) for x in args.d.split(","))
+            values["d"] = tuple(float(x) for x in values["d"].split(","))
         except ValueError as exc:
             raise _UsageError(f"--d must be a comma-separated float list: {exc}")
+    if spec.lacunary and fallback is not None:  # p and m default to the file's shape
+        shape = {"p": fallback.p, "m": fallback.m}
+        values = {name: shape[name] if v is None else v for name, v in values.items()}
+        if values != shape:
+            raise _UsageError(
+                f"kind {tag.value}({values['p']},{values['m']}) conflicts with the "
+                f"file's lacunary shape (p={fallback.p}, m={fallback.m})"
+            )
     try:
-        if tag is FunctionalTag.A_PM:
-            p, m = args.p, args.m
-            if p is None and fallback is not None:
-                p = fallback.p
-            if m is None and fallback is not None:
-                m = fallback.m
-            if fallback is not None and (p, m) != (fallback.p, fallback.m):
-                raise _UsageError(
-                    f"kind A_PM({p},{m}) conflicts with the file's lacunary "
-                    f"shape (p={fallback.p}, m={fallback.m})"
-                )
-            return FunctionalKind.lacunary(p, m)
-        if tag is FunctionalTag.D_NM:
-            return FunctionalKind.gap(args.n, args.m)
-        if tag is FunctionalTag.G_MPN:
-            return FunctionalKind.rogosinski(args.m, args.p_exp, args.n)
-        if tag is FunctionalTag.H_PN:
-            return FunctionalKind.rogosinski_center(args.p_exp, args.n)
-        if tag is FunctionalTag.I_M:
-            if d is None:
-                raise _UsageError("kind I_M needs --d")
-            return FunctionalKind.improved(d)
-        return FunctionalKind.tail_lemma(args.n)
+        return FunctionalKind(tag, **values)
     except (TypeError, ValueError) as exc:
         raise _UsageError(f"invalid parameters for kind {tag.value}: {exc}")
 
@@ -271,11 +263,7 @@ class _ParseError(Exception):
 
 
 def _run_verify(args) -> int:
-    try:
-        fdesc = _load_function(args.file)
-    except _ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    fdesc = _load_function(args.file)
     kind = _kind_from_args(args, fallback=fdesc)
     try:
         report = evaluate_kind(kind, fdesc, args.r)
@@ -300,11 +288,7 @@ def _run_verify(args) -> int:
 
 
 def _run_sweep(args) -> int:
-    try:
-        fdesc = _load_function(args.file)
-    except _ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    fdesc = _load_function(args.file)
     kind = _kind_from_args(args, fallback=fdesc)
     try:
         lo, hi, count = args.grid.split(":")
@@ -313,11 +297,14 @@ def _run_sweep(args) -> int:
             raise ValueError(f"count must lie in [1, {GRID_CAP}]")
     except ValueError as exc:
         raise _UsageError(f"--grid must look like lo:hi:count: {exc}")
-    grid = np.linspace(lo, hi, count) if count > 1 else np.array([lo])
+    # Non-finite endpoints (or an overflowing difference) leave the points
+    # between them non-finite, and so REJECTED; the endpoints are kept.
+    with np.errstate(invalid="ignore", over="ignore"):
+        grid = np.linspace(lo, hi, count).tolist()
+    grid[0] = lo  # 0 * step is NaN where the step is not finite
     header = ["r", "value", "margin", "status"]
     rows = []
     for r in grid:
-        r = float(r)
         if not 0.0 < r < MAX_EVAL_RADIUS:
             rows.append([r, "", "", "REJECTED"])
             continue
@@ -330,6 +317,9 @@ def _run_sweep(args) -> int:
         _emit(args.out, _csv_text(header, rows))
     else:
         payload_json = [dict(zip(header, row)) for row in rows]
+        for item in payload_json:  # JSON has no NaN or infinity
+            if not math.isfinite(item["r"]):
+                item["r"] = None
         _emit(args.out, json.dumps(payload_json, sort_keys=True) + "\n")
     return EXIT_OK
 
@@ -339,17 +329,13 @@ def _run_sweep(args) -> int:
 
 def _run_sharpness(args) -> int:
     kind = _kind_from_args(args)
-    try:  # LEMMA_TAIL has no sharp radius; parameters past the cap have none computed
-        radius = theorem_radius(kind)
-    except ValueError as exc:
-        raise _UsageError(f"no sharp radius for {kind.label()}: {exc}")
     r = args.r
-    if r is None:
-        r = radius + 0.01
-    elif not 0.0 < r < MAX_EVAL_RADIUS:  # also rejects NaN
+    if r is not None and not 0.0 < r < MAX_EVAL_RADIUS:  # also rejects NaN
         raise _UsageError(f"--r must lie in (0, {MAX_EVAL_RADIUS}), got {r!r}")
-    try:
+    try:  # the sharp radius is isolated once, inside sharpness_witness
         witness = sharpness_witness(kind, r)
+    except (NotSharpError, NoRootError) as exc:
+        raise _UsageError(f"no sharpness witness for {kind.label()}: {exc}")
     except (ValueError, RuntimeError) as exc:
         print(f"sharpness failure: {exc}", file=sys.stderr)
         return EXIT_VIOLATION

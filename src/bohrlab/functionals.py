@@ -24,11 +24,11 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .radii import _check_p_exp
+from .radii import RadiusEquation, _check_int, _check_p_exp, maximal_root
 from .series import (
     Certificate,
     CoefficientSeries,
@@ -36,6 +36,7 @@ from .series import (
     MAX_EVAL_RADIUS,
     RadiusError,
     TailWeight,
+    lacunary_expand,
     tail_bound,
     weighted_tail,
 )
@@ -46,6 +47,9 @@ __all__ = [
     "EvaluationReport",
     "FunctionalKind",
     "FunctionalTag",
+    "KINDS",
+    "KindSpec",
+    "NotSharpError",
     "SupportError",
     "c_constant",
     "constraint_check",
@@ -70,6 +74,10 @@ class SupportError(ValueError):
 
 class ConstraintViolation(ValueError):
     """The polynomial-weight constraint fails, so the evaluation is undefined."""
+
+
+class NotSharpError(ValueError):
+    """The kind has no sharp radius, or the proofs give no witness for its parameters."""
 
 
 @dataclass(frozen=True)
@@ -99,7 +107,7 @@ class FunctionalTag(str, Enum):
 
 @dataclass(frozen=True)
 class FunctionalKind:
-    """Tagged choice of evaluator plus its parameters."""
+    """Tagged choice of evaluator plus its parameters, checked by its row of KINDS."""
 
     tag: FunctionalTag
     p: int | None = None
@@ -110,30 +118,15 @@ class FunctionalKind:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tag", FunctionalTag(self.tag))
+        if self.p_exp is not None:
+            object.__setattr__(self, "p_exp", float(self.p_exp))
         if self.d is not None:
             object.__setattr__(self, "d", tuple(float(x) for x in self.d))
-        t = self.tag
-        if t is FunctionalTag.A_PM:
-            if self.p is None or self.m is None or not 0 <= self.m <= self.p or self.p < 1:
-                raise ValueError("A_PM requires integers 0 <= m <= p and p >= 1")
-        elif t is FunctionalTag.D_NM:
-            if self.n is None or self.m is None or self.m < 0 or self.n < self.m + 1:
-                raise ValueError("D_NM requires integers m >= 0 and N >= m + 1")
-        elif t is FunctionalTag.G_MPN:
-            if self.m is None or self.m < 1 or self.n is None or self.n < 1:
-                raise ValueError("G_MPN requires integers m >= 1 and N >= 1")
-            _check_p_exp(self.p_exp)
-        elif t is FunctionalTag.H_PN:
-            if self.n is None or self.n < 1:
-                raise ValueError("H_PN requires an integer N >= 1")
-            _check_p_exp(self.p_exp)
-        elif t is FunctionalTag.I_M:
-            if self.d is None:
-                raise ValueError("I_M requires the weight sequence d")
-            _check_weights(self.d)
-        else:  # LEMMA_TAIL
-            if self.n is None or self.n < 1:
-                raise ValueError("LEMMA_TAIL requires an integer N >= 1")
+        self.spec.check(self)
+
+    @property
+    def spec(self) -> "KindSpec":
+        return KINDS[self.tag]
 
     # -- constructors ----------------------------------------------------
     @classmethod
@@ -146,11 +139,11 @@ class FunctionalKind:
 
     @classmethod
     def rogosinski(cls, m: int, p_exp: float, n: int) -> "FunctionalKind":
-        return cls(FunctionalTag.G_MPN, m=m, p_exp=float(p_exp), n=n)
+        return cls(FunctionalTag.G_MPN, m=m, p_exp=p_exp, n=n)
 
     @classmethod
     def rogosinski_center(cls, p_exp: float, n: int) -> "FunctionalKind":
-        return cls(FunctionalTag.H_PN, p_exp=float(p_exp), n=n)
+        return cls(FunctionalTag.H_PN, p_exp=p_exp, n=n)
 
     @classmethod
     def improved(cls, d: Sequence[float]) -> "FunctionalKind":
@@ -174,7 +167,9 @@ class FunctionalKind:
         return f"{self.tag.value}({inner})"
 
 
-def _check_weights(d: Sequence[float]) -> tuple[float, ...]:
+def _check_weights(d: Sequence[float] | None) -> tuple[float, ...]:
+    if d is None:
+        raise ValueError("the weight sequence d is required")
     d = tuple(float(x) for x in d)
     if not all(math.isfinite(x) and x >= 0.0 for x in d):
         raise ValueError(f"weights d_i must be finite and nonnegative, got {list(d)!r}")
@@ -264,9 +259,10 @@ def _gap_terms(mods, bound, m: int, n: int, r: float, squared_shift: int = 0):
     lin_tail = weighted_tail(bound, r, T, TailWeight.LINEAR)
     start = n + squared_shift
     sq = mods[..., start:] ** 2 @ r ** (2.0 * np.arange(start, T + 1, dtype=float))
-    sq_tail = weighted_tail(bound, r, T, TailWeight.SQUARED)
-    # The bracket divides by r^m + |P_m| and by r^(m-1): when its sum is empty
-    # (r = 0, or r^s underflowing) it is never formed.
+    sq_tail = weighted_tail(bound, r, max(T, start - 1), TailWeight.SQUARED)
+    # The bracket divides by r^m + |P_m| and by r^(m-1).  Where either
+    # overflows, every r^(2s) with s >= start > m underflows: the sum is
+    # empty (as at r = 0) and the bracket is never formed.
     if not (sq + sq_tail > 0.0).any():
         return linear, lin_tail
     bracket = 1.0 / (r**m + pm) + r ** (1 - m) / (1.0 - r)
@@ -602,3 +598,113 @@ def report_to_json(report: EvaluationReport) -> dict:
         "margin": report.margin,
         "inputs": dict(report.inputs),
     }
+
+
+@dataclass(frozen=True)
+class KindSpec:
+    """Every per-kind fact of one :class:`FunctionalTag`: a row of :data:`KINDS`.
+
+    ``params`` (also the CLI flags) are checked by building the kind's radius
+    equation where it has one.  ``radius`` is None where the inequality holds
+    at every radius below 1.  ``evaluate`` gets the lacunary structure when
+    ``lacunary`` is set.  ``batch`` gives values and tails of coefficient rows,
+    whose margins are value + tail - ``level``.
+    Campaign trials insert ``gap`` zero Schur parameters and evaluate ``wrap``.
+    ``family`` is the p of the proof's extremal lam^m phi_a(lam^p), raising
+    NotSharpError where the proofs give no witness; None: Mobius maps, a -> 1.
+    """
+
+    params: tuple[str, ...]
+    check: Callable[[FunctionalKind], object]
+    evaluate: Callable[..., EvaluationReport]
+    batch: Callable[..., tuple]
+    level: float = 1.0
+    radius: Callable[[FunctionalKind], float] | None = None
+    lacunary: bool = False
+    gap: Callable[[FunctionalKind], int] = lambda kind: 0
+    wrap: Callable[..., object] = lambda kind, g: g
+    family: Callable[[FunctionalKind], int | None] = lambda kind: None
+
+
+def _equation_kind(params, equation, **facts) -> KindSpec:
+    """A kind whose sharp radius is the maximal root of ``equation(kind)``."""
+    return KindSpec(params, equation, radius=lambda k: maximal_root(equation(k)), **facts)
+
+
+def _rogosinski_rows(kind, coeffs, mods, bound, r):
+    T = mods.shape[-1] - 1
+    rho = r**kind.m  # the monomial Schwarz slice maps r to r^m
+    x = np.abs(coeffs @ (rho ** np.arange(T + 1, dtype=float)).astype(complex))
+    df = weighted_tail(bound, rho, T, TailWeight.LINEAR)
+    head, head_err = _center_power(x, df, kind.p_exp)
+    return _rogosinski_terms(mods, bound, kind.n, r, head, head_err)
+
+
+def _lemma_report(kind, f: CoefficientSeries, r: float) -> EvaluationReport:
+    slack = lemma_tail_bound_check(f, kind.n, r)
+    rhs = _lemma_rhs(abs(f.coeffs[0]), kind.n, r)
+    return _report("LEMMA_TAIL", {"n": kind.n}, r, rhs - slack, 0.0, _describe(f),
+                   _certified(f), threshold=rhs)
+
+
+def _lemma_rows(mods, bound, n: int, r: float):
+    # LHS (its certificates included) - RHS with zero tails, taken at level 0.
+    lhs, rhs = _lemma_sides(mods, bound, n, r)
+    return lhs - rhs, np.zeros_like(lhs)
+
+
+def _gap_family(kind) -> int:
+    if kind.n != kind.m + 1:
+        raise NotSharpError("gap-sum sharpness is established at N = m + 1")
+    return 1
+
+
+KINDS: dict[FunctionalTag, KindSpec] = {
+    FunctionalTag.A_PM: _equation_kind(
+        ("p", "m"),
+        lambda k: RadiusEquation.refined_lacunary(k.p, k.m),
+        evaluate=lambda k, f, r: eval_lacunary_sum(f, r),
+        batch=lambda k, c, mods, b, r: _lacunary_terms(mods, b, k.p, k.m, r),
+        lacunary=True,
+        wrap=lambda k, g: LacunarySeries(k.m, k.p, g),
+        family=lambda k: k.p,
+    ),
+    FunctionalTag.D_NM: _equation_kind(
+        ("n", "m"),
+        lambda k: RadiusEquation.gap(k.n, k.m),
+        evaluate=lambda k, f, r: eval_gap_sum(f, k.m, k.n, r),
+        # The trial function is lam^m g(lam): m leading zero coefficients.
+        batch=lambda k, c, mods, b, r: _gap_terms(
+            np.pad(mods, ((0, 0), (k.m, 0))), b, k.m, k.n, r),
+        gap=lambda k: k.n - k.m - 1,
+        wrap=lambda k, g: lacunary_expand(k.m, 1, g),
+        family=_gap_family,
+    ),
+    FunctionalTag.G_MPN: _equation_kind(
+        ("m", "p_exp", "n"),
+        lambda k: RadiusEquation.rogosinski(k.n, k.p_exp, k.m),
+        evaluate=lambda k, f, r: eval_rogosinski(f, k.m, k.p_exp, k.n, r),
+        batch=_rogosinski_rows,
+    ),
+    FunctionalTag.H_PN: _equation_kind(
+        ("p_exp", "n"),
+        lambda k: RadiusEquation.rogosinski_limit(k.n, k.p_exp),
+        evaluate=lambda k, f, r: eval_rogosinski_center(f, k.p_exp, k.n, r),
+        batch=lambda k, c, mods, b, r: _rogosinski_terms(
+            mods, b, k.n, r, *_center_power(mods[..., 0], 0.0, k.p_exp)),
+    ),
+    FunctionalTag.I_M: KindSpec(
+        ("d",),
+        lambda k: _check_weights(k.d),
+        evaluate=lambda k, f, r: eval_improved_bohr(f, k.d, r),
+        batch=lambda k, c, mods, b, r: _improved_terms(mods, b, k.d, r),
+        radius=lambda k: 1.0 / 3.0,
+    ),
+    FunctionalTag.LEMMA_TAIL: KindSpec(
+        ("n",),
+        lambda k: _check_int("n", k.n, 1),
+        evaluate=_lemma_report,
+        batch=lambda k, c, mods, b, r: _lemma_rows(mods, b, k.n, r),
+        level=0.0,
+    ),
+}

@@ -20,48 +20,31 @@ work instead of O(T^2), with the same coefficients bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .functionals import (
-    EvaluationReport,
-    FunctionalKind,
-    FunctionalTag,
-    eval_gap_sum,
-    eval_improved_bohr,
-    eval_lacunary_sum,
-    eval_rogosinski,
-    eval_rogosinski_center,
-    lemma_tail_bound_check,
-    _center_power,
-    _certified,
-    _describe,
-    _gap_terms,
-    _improved_terms,
-    _lacunary_terms,
-    _lemma_rhs,
-    _lemma_sides,
-    _report,
-    _rogosinski_terms,
-)
-from .radii import RadiusEquation, maximal_root, unique_root
+from .functionals import EvaluationReport, FunctionalKind, NotSharpError
 from .series import (
     Certificate,
     CoefficientSeries,
     LacunarySeries,
-    TailWeight,
     default_truncation,
-    lacunary_expand,
     mobius_minus_series,
     mobius_series,
     schur_from_parameters,
-    weighted_tail,
 )
+
+# Bound here by name too: bench/tracer.py wraps every binding of a traced
+# function, and bench/test_bench.py checks these two.
+from .functionals import eval_lacunary_sum  # noqa: F401
+from .radii import maximal_root  # noqa: F401
 
 __all__ = [
     "CampaignSummary",
     "NO_CROSSING",
+    "NotSharpError",
     "WitnessNotFoundError",
     "WitnessReport",
     "empirical_radius",
@@ -98,14 +81,7 @@ class WitnessReport:
     exceeds_one: bool
 
     def to_json(self) -> dict:
-        return {
-            "kind": self.kind.label(),
-            "r": self.r,
-            "witness_param": self.witness_param,
-            "value": self.value,
-            "tail_error": self.tail_error,
-            "exceeds_one": self.exceeds_one,
-        }
+        return {**asdict(self), "kind": self.kind.label()}
 
 
 @dataclass(frozen=True)
@@ -127,32 +103,14 @@ class CampaignSummary:
     max_tail_error: float
 
     def to_json(self) -> dict:
-        return {
-            "kind": self.kind.label(),
-            "trials": self.trials,
-            "seed": self.seed,
-            "r": self.r,
-            "max_margin": self.max_margin,
-            "argmax_trial": self.argmax_trial,
-            "max_value": self.max_value,
-            "max_tail_error": self.max_tail_error,
-        }
+        return {**asdict(self), "kind": self.kind.label()}
 
 
 def theorem_radius(kind: FunctionalKind) -> float:
-    """Sharp radius of the inequality the kind evaluates."""
-    t = kind.tag
-    if t is FunctionalTag.A_PM:
-        return maximal_root(RadiusEquation.refined_lacunary(kind.p, kind.m))
-    if t is FunctionalTag.D_NM:
-        return maximal_root(RadiusEquation.gap(kind.n, kind.m))
-    if t is FunctionalTag.G_MPN:
-        return unique_root(RadiusEquation.rogosinski(kind.n, kind.p_exp, kind.m))
-    if t is FunctionalTag.H_PN:
-        return unique_root(RadiusEquation.rogosinski_limit(kind.n, kind.p_exp))
-    if t is FunctionalTag.I_M:
-        return 1.0 / 3.0
-    raise ValueError("the tail-bound check holds at every radius below 1")
+    """Sharp radius of the inequality the kind evaluates (NotSharpError if none)."""
+    if kind.spec.radius is None:
+        raise NotSharpError("the inequality holds at every radius below 1: no sharp radius")
+    return kind.spec.radius(kind)
 
 
 def evaluate_kind(
@@ -166,37 +124,17 @@ def evaluate_kind(
     expanded series.  For LEMMA_TAIL the report's margin is taken against the
     bound's right side instead of 1, so margin <= 0 still means "holds".
     """
-    t = kind.tag
-    if t is FunctionalTag.A_PM:
+    spec = kind.spec
+    if spec.lacunary:
         if not isinstance(f, LacunarySeries):
-            raise TypeError("A_PM needs the lacunary structure (m, p, g)")
+            raise TypeError(f"{kind.tag.value} needs the lacunary structure (m, p, g)")
         if (f.m, f.p) != (kind.m, kind.p):
             raise ValueError(
                 f"kind {kind.label()} does not match the input's (m={f.m}, p={f.p})"
             )
-        return eval_lacunary_sum(f, r)
-    series = f.expand() if isinstance(f, LacunarySeries) else f
-    if t is FunctionalTag.D_NM:
-        return eval_gap_sum(series, kind.m, kind.n, r)
-    if t is FunctionalTag.G_MPN:
-        return eval_rogosinski(series, kind.m, kind.p_exp, kind.n, r)
-    if t is FunctionalTag.H_PN:
-        return eval_rogosinski_center(series, kind.p_exp, kind.n, r)
-    if t is FunctionalTag.I_M:
-        return eval_improved_bohr(series, kind.d, r)
-    # LEMMA_TAIL: slack s = rhs - lhs; report lhs-style margin against rhs.
-    slack = lemma_tail_bound_check(series, kind.n, r)
-    rhs = _lemma_rhs(abs(series.coeffs[0]), kind.n, r)
-    return _report(
-        "LEMMA_TAIL",
-        {"n": kind.n},
-        r,
-        rhs - slack,
-        0.0,
-        _describe(series),
-        _certified(series),
-        threshold=rhs,
-    )
+    elif isinstance(f, LacunarySeries):
+        f = f.expand()
+    return spec.evaluate(kind, f, r)
 
 
 def _input_certificate(f: CoefficientSeries | LacunarySeries) -> Certificate:
@@ -239,6 +177,17 @@ def empirical_radius(
     return NO_CROSSING
 
 
+def _family_parameter(m: int, p: int, radius: float, r: float) -> float:
+    # The proof's a for lam^m phi_a(lam^p): fixed by the sharp radius for
+    # m >= 1, and a = 1/(2c) with c the tail factor at r for m = 0.
+    if m >= 1:
+        r0p = radius**p
+        return (1.0 - r0p) / (2.0 * r0p)
+    rp = r**p
+    c = rp / (1.0 - rp)  # > 1/2 above the radius
+    return 1.0 / (2.0 * c)
+
+
 def proof_extremal(kind: FunctionalKind) -> LacunarySeries:
     """The proof-optimal extremal family member whose crossing IS the radius.
 
@@ -247,67 +196,46 @@ def proof_extremal(kind: FunctionalKind) -> LacunarySeries:
     N = m + 1, a = (1 - r0) / (2 r0).  Both closed forms increase in r and
     equal 1 exactly at r0, so the empirical crossing reproduces the radius.
     """
+    family = kind.spec.family(kind)
+    if family is None or kind.m < 1:  # at m = 0 the proof-optimal parameter degenerates
+        raise ValueError(f"no proof-optimal extremal is defined for {kind.label()}")
     r0 = theorem_radius(kind)
+    a = _family_parameter(kind.m, family, r0, r0)
     T = default_truncation(_SCAN_TRUNCATION_RADIUS)
-    if kind.tag is FunctionalTag.A_PM:
-        if kind.m < 1:
-            raise ValueError("the proof-optimal parameter degenerates at m = 0")
-        rp = r0**kind.p
-        a = (1.0 - rp) / (2.0 * rp)
-        return LacunarySeries(kind.m, kind.p, mobius_minus_series(a, T))
-    if kind.tag is FunctionalTag.D_NM:
-        if kind.m < 1 or kind.n != kind.m + 1:
-            raise ValueError("the gap-sum extremal lives at N = m + 1 with m >= 1")
-        a = (1.0 - r0) / (2.0 * r0)
-        return LacunarySeries(kind.m, 1, mobius_minus_series(a, T))
-    raise ValueError(f"no proof-optimal extremal is defined for {kind.label()}")
+    return LacunarySeries(kind.m, family, mobius_minus_series(a, T))
 
 
 def sharpness_witness(
-    kind: FunctionalKind, r: float, *, exceed_by: float = 1e-6
+    kind: FunctionalKind, r: float | None = None, *, exceed_by: float = 1e-6
 ) -> WitnessReport:
     """Construct the proof's witness pushing the functional above 1 at ``r``.
 
-    The lacunary and gap sums use the explicit optimizing parameter (the
-    m = 0 branches use a = 1/(2c) with c the relevant tail factor); the
-    composed-center and improved kinds search the ascending schedule
-    a = 1 - 2^-k, capped at 1 - 1e-6, because their witnesses only exist in
-    the limit a -> 1.  Raises WitnessNotFoundError if the cap is exhausted,
-    which signals an implementation bug: the proofs guarantee existence.
+    ``r`` defaults to the sharp radius + 0.01.  The lacunary and gap sums use
+    the explicit optimizing parameter (the m = 0 branches use a = 1/(2c) with
+    c the relevant tail factor); the composed-center and improved kinds search
+    the ascending schedule a = 1 - 2^-k, capped at 1 - 1e-6, because their
+    witnesses only exist in the limit a -> 1.  Raises NotSharpError, before
+    any root is isolated, where the proofs give no witness, and
+    WitnessNotFoundError if the cap is exhausted, which signals an
+    implementation bug: the proofs guarantee existence.
     """
-    t = kind.tag
-    radius = theorem_radius(kind)
+    family = kind.spec.family(kind)
+    radius = theorem_radius(kind)  # raises NotSharpError before any root
+    if r is None:
+        r = radius + 0.01
     if r <= radius:
         raise ValueError(
             f"witnesses exist only above the sharp radius {radius!r}, got {r!r}"
         )
     T = default_truncation(r)
 
-    if t is FunctionalTag.A_PM:
-        if kind.m >= 1:
-            r0p = radius**kind.p
-            a = (1.0 - r0p) / (2.0 * r0p)
-        else:
-            rp = r**kind.p
-            c = rp / (1.0 - rp)  # > 1/2 above the radius
-            a = 1.0 / (2.0 * c)
-        fam = LacunarySeries(kind.m, kind.p, mobius_minus_series(a, T))
-        return _witness(kind, r, a, evaluate_kind(kind, fam, r), exceed_by)
-
-    if t is FunctionalTag.D_NM:
-        if kind.n != kind.m + 1:
-            raise ValueError("gap-sum sharpness is established at N = m + 1")
-        if kind.m >= 1:
-            a = (1.0 - radius) / (2.0 * radius)
-        else:
-            c = r / (1.0 - r)
-            a = 1.0 / (2.0 * c)
-        fam = LacunarySeries(kind.m, 1, mobius_minus_series(a, T))
+    if family is not None:
+        a = _family_parameter(kind.m, family, radius, r)
+        fam = LacunarySeries(kind.m, family, mobius_minus_series(a, T))
         return _witness(kind, r, a, evaluate_kind(kind, fam, r), exceed_by)
 
     # Limit-argument kinds: ascend a = 1 - 2^-k until the value clears 1.
-    k = 1
-    while True:
+    for k in itertools.count(1):
         a = 1.0 - 0.5**k
         if a > _WITNESS_CAP:
             raise WitnessNotFoundError(
@@ -316,7 +244,6 @@ def sharpness_witness(
         rep = evaluate_kind(kind, mobius_series(a, T), r)
         if rep.value > 1.0 + exceed_by:
             return _witness(kind, r, a, rep, exceed_by)
-        k += 1
 
 
 def _witness(
@@ -380,11 +307,7 @@ def campaign_function(kind: FunctionalKind, seed: int, trial: int, r: float | No
     params = _sample_parameters(rng, trial + 1)
     gamma = [complex(c) for c in _shape_parameters(kind, params[trial])]
     g = schur_from_parameters(gamma, _campaign_truncation(r))
-    if kind.tag is FunctionalTag.A_PM:
-        return LacunarySeries(kind.m, kind.p, g)
-    if kind.tag is FunctionalTag.D_NM and kind.m > 0:
-        return lacunary_expand(kind.m, 1, g)
-    return g
+    return kind.spec.wrap(kind, g)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +327,7 @@ def _sample_parameters(rng: np.random.Generator, trials: int) -> np.ndarray:
 
 def _shape_parameters(kind: FunctionalKind, params: np.ndarray) -> np.ndarray:
     """Insert the zero parameters that carve out the kind's support gap (last axis)."""
-    gap = kind.n - kind.m - 1 if kind.tag is FunctionalTag.D_NM else 0
+    gap = kind.spec.gap(kind)
     return np.insert(params, [1] * gap, 0j, axis=-1) if gap > 0 else params
 
 
@@ -447,29 +370,7 @@ def _batch_margins(
     kind: FunctionalKind, params: np.ndarray, r: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Margins and tail certificates of every sampled row at radius ``r``."""
-    t = kind.tag
     T = _campaign_truncation(r)
     coeffs, bound = _batch_schur(_shape_parameters(kind, params), T)
-    mods = np.abs(coeffs)
-
-    if t is FunctionalTag.A_PM:
-        value, tail = _lacunary_terms(mods, bound, kind.p, kind.m, r)
-    elif t is FunctionalTag.D_NM:
-        # The trial function is lam^m g(lam): m leading zero coefficients.
-        shifted = np.pad(mods, ((0, 0), (kind.m, 0)))
-        value, tail = _gap_terms(shifted, bound, kind.m, kind.n, r)
-    elif t is FunctionalTag.G_MPN:
-        rho = r**kind.m  # the monomial Schwarz slice maps r to r^m
-        x = np.abs(coeffs @ (rho ** np.arange(T + 1, dtype=float)).astype(complex))
-        df = weighted_tail(bound, rho, T, TailWeight.LINEAR)
-        head, head_err = _center_power(x, df, kind.p_exp)
-        value, tail = _rogosinski_terms(mods, bound, kind.n, r, head, head_err)
-    elif t is FunctionalTag.H_PN:
-        head, head_err = _center_power(mods[:, 0], 0.0, kind.p_exp)
-        value, tail = _rogosinski_terms(mods, bound, kind.n, r, head, head_err)
-    elif t is FunctionalTag.I_M:
-        value, tail = _improved_terms(mods, bound, kind.d, r)
-    else:  # LEMMA_TAIL: the margin is taken against the bound's right side
-        lhs, rhs = _lemma_sides(mods, bound, kind.n, r)
-        return lhs - rhs, np.zeros_like(lhs)
-    return value + tail - 1.0, tail
+    value, tail = kind.spec.batch(kind, coeffs, np.abs(coeffs), bound, r)
+    return value + tail - kind.spec.level, tail

@@ -131,7 +131,7 @@ def _check_int(name: str, value, minimum: int) -> None:
     if value is None or not isinstance(value, int):
         raise ValueError(f"parameter {name} must be an integer")
     if value < minimum:
-        raise ValueError(f"parameter {name} must be >= {minimum}, got {value}")
+        raise ValueError(f"parameter {name} must satisfy {name} >= {minimum}, got {value}")
     if value > PARAMETER_CAP:
         raise ValueError(f"parameter {name} exceeds the cap {PARAMETER_CAP}")
 

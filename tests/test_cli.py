@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import sys
+import warnings
 
 import pytest
 
@@ -28,6 +30,33 @@ def _write_mobius(tmp_path, a=0.5, order=200, name="f.json"):
 
 def _rows(text):
     return list(csv.reader(io.StringIO(text)))
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def _count_roots(monkeypatch):
+    """Record every root isolation, at every binding of the two root finders."""
+    from bohrlab import radii
+
+    calls, depth = [], [0]
+    for name in ("maximal_root", "unique_root"):
+        real = getattr(radii, name)
+
+        def counted(eq, _real=real):
+            if depth[0] == 0:  # maximal_root hands rational equations to unique_root
+                calls.append(eq)
+            depth[0] += 1
+            try:
+                return _real(eq)
+            finally:
+                depth[0] -= 1
+
+        for modname, mod in list(sys.modules.items()):
+            if modname.startswith("bohrlab") and getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counted)
+    return calls
 
 
 class TestRadiiCommand:
@@ -246,6 +275,30 @@ class TestSweepCommand:
         rows = _rows(capsys.readouterr().out)[1:]
         assert [r[3] for r in rows] == ["REJECTED", "OK"]
 
+    def test_non_finite_endpoint_kept_without_warnings(self, tmp_path, capsys):
+        path = _write_mobius(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["sweep", "--file", path, "--kind", "D_NM", "--n", "1", "--m", "0",
+                       "--grid", "inf:0.5:3"])
+        assert rc == EXIT_OK
+        rows = _rows(capsys.readouterr().out)[1:]
+        assert [(r[0], r[3]) for r in rows] == [
+            ("inf", "REJECTED"), ("nan", "REJECTED"), ("0.5", "OK")]
+
+    @pytest.mark.parametrize("grid,radii", [
+        ("nan:nan:1", [None]), ("0.3:-inf:2", [0.3, None]), ("inf:0.2:3", [None, None, 0.2])])
+    def test_json_writes_null_for_non_finite_r(self, tmp_path, capsys, grid, radii):
+        path = _write_mobius(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["sweep", "--file", path, "--kind", "D_NM", "--n", "1", "--m", "0",
+                       "--grid", grid, "--format", "json"])
+        assert rc == EXIT_OK
+        rows = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        assert [row["r"] for row in rows] == radii
+        assert [row["status"] == "OK" for row in rows] == [r is not None for r in radii]
+
     def test_bad_grid_usage_error(self, tmp_path, capsys):
         path = _write_mobius(tmp_path)
         assert main(["sweep", "--file", path, "--kind", "D_NM", "--n", "1",
@@ -290,6 +343,32 @@ class TestSharpnessCommand:
         rc = main(["sharpness", "--kind", "I_M", "--d", d])
         assert rc == EXIT_USAGE
         assert "weights d_i must be finite and nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [[], ["--r", "0.9"]])
+    def test_gap_without_witness_usage_error(self, capsys, extra):
+        # the proofs establish gap-sum sharpness only at N = m + 1
+        rc = main(["sharpness", "--kind", "D_NM", "--n", "3", "--m", "1", *extra])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "usage error: no sharpness witness for D_NM(m=1,n=3)" in err
+        assert "N = m + 1" in err
+
+    @pytest.mark.parametrize("extra", [[], ["--r", "0.8"]])
+    @pytest.mark.parametrize("kind", [["--kind", "A_PM", "--p", "2", "--m", "1"],
+                                      ["--kind", "D_NM", "--n", "2", "--m", "1"],
+                                      ["--kind", "H_PN", "--p-exp", "1.0", "--n", "1"]])
+    def test_one_root_per_call(self, capsys, monkeypatch, kind, extra):
+        calls = _count_roots(monkeypatch)
+        assert main(["sharpness", *kind, *extra]) == EXIT_OK
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("extra", [[], ["--r", "0.5"]])
+    @pytest.mark.parametrize("kind", [["--kind", "LEMMA_TAIL", "--n", "2"],
+                                      ["--kind", "D_NM", "--n", "3", "--m", "1"]])
+    def test_no_root_without_witness(self, capsys, monkeypatch, kind, extra):
+        calls = _count_roots(monkeypatch)
+        assert main(["sharpness", *kind, *extra]) == EXIT_USAGE
+        assert calls == []
 
     @pytest.mark.parametrize("r", ["nan", "0.999", "0.995", "0", "-0.2", "inf"])
     def test_radius_out_of_range_usage_error(self, capsys, r):

@@ -77,9 +77,13 @@ def fixture_file(tmp_path_factory):
     return str(path)
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
 def _check_stdout(text: str, fmt: str) -> None:
-    if fmt == "json":
-        json.loads(text)
+    if fmt == "json":  # strict JSON: no NaN or Infinity tokens
+        json.loads(text, parse_constant=_reject_constant)
         return
     rows = list(csv.reader(io.StringIO(text)))
     assert rows and rows[0]

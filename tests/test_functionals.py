@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -129,6 +132,34 @@ class TestGapSum:
         assert eval_gap_sum(shifted, 3, 4, 1e-200).value == 0.0
         lac = LacunarySeries(2, 2, mobius_minus_series(0.5, 60))
         assert eval_lacunary_sum(lac, 1e-200).value == 0.0
+
+    def test_short_series_at_underflowing_radius_is_finite(self):
+        # r^m underflows past 1/r^m's range while the dropped squared terms
+        # below the block's start would not: no NaN, no warning
+        f = CoefficientSeries((0j,), 1.0, Certificate.SCHUR_EXACT)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = eval_gap_sum(f, 31, 32, 1e-10)
+        assert math.isfinite(rep.value) and math.isfinite(rep.margin)
+        assert rep.tail_error >= 1e-10  # the dropped c_31 and c_s, s >= 32
+
+    def test_short_series_charges_at_least_its_zero_padding(self):
+        # Zeros past N with the same bound are one of the series the short
+        # one's certificate covers, so its margin can only be larger.
+        rng = np.random.default_rng(29)
+        for _ in range(400):
+            m = int(rng.integers(0, 40))
+            n = m + 1 + int(rng.integers(0, 6))
+            length = int(rng.integers(1, n + 1))
+            r = float(10.0 ** rng.uniform(-12.0, np.log10(0.95)))
+            bound = float(rng.random())
+            coeffs = [0j] * length
+            if m < length:
+                coeffs[m] = 0.9 * rng.random() * np.exp(2j * np.pi * rng.random())
+            padded = coeffs + [0j] * (n + 3 - length)
+            short = eval_gap_sum(CoefficientSeries(coeffs, bound), m, n, r).margin
+            long = eval_gap_sum(CoefficientSeries(padded, bound), m, n, r).margin
+            assert short >= long, (m, n, length, r, bound)
 
     def test_support_violation(self):
         s = CoefficientSeries((0.1 + 0j, 0.2 + 0j, 0.3 + 0j), 0.0)

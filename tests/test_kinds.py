@@ -1,0 +1,133 @@
+"""The table of kinds: one row per tag, one validator, and facts read from it."""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from bohrlab.cli import _kind_from_args, build_parser
+from bohrlab.functionals import KINDS, FunctionalKind, FunctionalTag
+from bohrlab.harness import campaign_function, evaluate_kind
+from bohrlab.radii import RadiusEquation
+from bohrlab.series import CoefficientSeries, LacunarySeries
+
+# One kind per tag, every parameter away from its default.
+SAMPLES = {
+    FunctionalTag.A_PM: FunctionalKind.lacunary(3, 2),
+    FunctionalTag.D_NM: FunctionalKind.gap(4, 1),
+    FunctionalTag.G_MPN: FunctionalKind.rogosinski(2, 1.5, 3),
+    FunctionalTag.H_PN: FunctionalKind.rogosinski_center(0.75, 2),
+    FunctionalTag.I_M: FunctionalKind.improved((0.5, 0.125)),
+    FunctionalTag.LEMMA_TAIL: FunctionalKind.tail_lemma(3),
+}
+
+
+def _kind_choices(parser):
+    (subparsers,) = [a for a in parser._actions if a.dest == "command"]
+    (kind,) = [a for a in subparsers.choices["sharpness"]._actions if a.dest == "kind"]
+    return kind.choices
+
+
+def _flags(kind):
+    argv = ["--kind", kind.tag.value]
+    for name in kind.spec.params:
+        value = getattr(kind, name)
+        text = ",".join(map(repr, value)) if name == "d" else repr(value)
+        argv += [f"--{name.replace('_', '-')}", text]
+    return argv
+
+
+def test_one_row_per_tag():
+    assert list(KINDS) == list(FunctionalTag)
+    assert set(SAMPLES) == set(FunctionalTag)
+    assert _kind_choices(build_parser()) == [tag.value for tag in KINDS]
+
+
+@pytest.mark.parametrize("tag", list(FunctionalTag))
+def test_cli_flags_round_trip(tag):
+    kind = SAMPLES[tag]
+    args = build_parser().parse_args(["sharpness", *_flags(kind)])
+    again = _kind_from_args(args)
+    assert again == kind
+    assert again.label() == kind.label()
+    assert set(kind.params()) == set(kind.spec.params)
+
+
+_VALUES = (-1, 0, 1, 64, 65, 2.5)
+
+# Each radius kind beside its equation, both taking the parameters by name.
+_EQUATIONS = [
+    (("p", "m"), FunctionalKind.lacunary, RadiusEquation.refined_lacunary),
+    (("n", "m"), FunctionalKind.gap, RadiusEquation.gap),
+    (("m", "p_exp", "n"), FunctionalKind.rogosinski,
+     lambda m, p_exp, n: RadiusEquation.rogosinski(n, p_exp, m)),
+    (("p_exp", "n"), FunctionalKind.rogosinski_center,
+     lambda p_exp, n: RadiusEquation.rogosinski_limit(n, p_exp)),
+]
+
+
+def _outcome(build, values):
+    try:
+        build(*values)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("names,kind,equation", _EQUATIONS)
+def test_kind_rejects_what_its_equation_rejects(names, kind, equation):
+    rejected = 0
+    for values in itertools.product(_VALUES, repeat=len(names)):
+        expected = _outcome(equation, values)
+        assert _outcome(kind, values) == expected, dict(zip(names, values))
+        rejected += expected is not None
+    assert 0 < rejected < len(_VALUES) ** len(names)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: FunctionalKind.gap(100, 0), "parameter n exceeds the cap 64"),
+    (lambda: FunctionalKind.gap(2.5, 1), "parameter n must be an integer"),
+    (lambda: FunctionalKind.lacunary(65, 1), "parameter p exceeds the cap 64"),
+    (lambda: FunctionalKind.tail_lemma(0), "parameter n must satisfy n >= 1, got 0"),
+    (lambda: FunctionalKind(FunctionalTag.I_M), "the weight sequence d is required"),
+])
+def test_bad_parameters_fail_at_construction(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
+# The margin may only grow with the bound on the dropped coefficients.
+_MONOTONE_KINDS = [
+    FunctionalKind.lacunary(2, 1),
+    FunctionalKind.gap(1, 0),
+    FunctionalKind.gap(3, 1),
+    FunctionalKind.rogosinski(2, 1.0, 2),
+    FunctionalKind.rogosinski_center(2.0, 3),
+    FunctionalKind.improved((8.0 / 9.0,)),
+    FunctionalKind.tail_lemma(2),
+]
+
+
+def _with_bound(f, length, bound):
+    if isinstance(f, LacunarySeries):
+        return LacunarySeries(f.m, f.p, _with_bound(f.g, length, bound))
+    return CoefficientSeries(f.coeffs[:length], bound, f.certificate)
+
+
+@pytest.mark.parametrize("kind", _MONOTONE_KINDS, ids=FunctionalKind.label)
+def test_margin_never_decreases_with_the_bound(kind):
+    rng = np.random.default_rng(47)
+    pairs = 0
+    for trial in range(60):
+        r = float(rng.uniform(0.05, 0.9))
+        f = campaign_function(kind, seed=47, trial=trial, r=0.5)
+        order = f.g.truncation_order if isinstance(f, LacunarySeries) else f.truncation_order
+        length = int(rng.integers(1, order + 2))
+        bounds = np.sort(rng.random(10))
+        margins = [evaluate_kind(kind, _with_bound(f, length, float(b)), r).margin
+                   for b in bounds]
+        pairs += len(margins) - 1
+        assert all(a <= b for a, b in zip(margins, margins[1:])), (trial, r, length)
+    assert pairs == 540
+
