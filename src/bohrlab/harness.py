@@ -15,7 +15,14 @@ Campaign functions come from ``count`` Schur parameters (8, plus the zeros a
 gap kind inserts).  The numerator and denominator of their continued fraction
 are polynomials of degree at most ``count - 1``, so the power-series division
 that yields the Taylor coefficients is a banded recurrence: O(T * count)
-work instead of O(T^2), with the same coefficients bit for bit.
+work instead of O(T^2), with the same coefficients bit for bit.  The division
+runs degree-major, on a (T+1, trials) array whose every step reads a few
+contiguous rows, and hands back a C-contiguous (trials, T+1) copy.
+
+A campaign sizes its truncation order T once, for the radius at which the
+trial's g is evaluated: r^p for a lacunary trial lam^m g(lam^p), whose tails
+are geometric in r^p, and r for every other kind.  Campaigns and
+:func:`campaign_function` share it, so a replay rebuilds the same function.
 """
 
 from __future__ import annotations
@@ -25,7 +32,12 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .functionals import EvaluationReport, FunctionalKind, NotSharpError
+from .functionals import (
+    EvaluationReport,
+    FunctionalKind,
+    NotSharpError,
+    zero_schwarz_slice,
+)
 from .series import (
     Certificate,
     CoefficientSeries,
@@ -277,11 +289,12 @@ def random_campaign(
     are exercised by deterministic tests instead).  The evaluation radius
     defaults to the theorem radius of the kind.  Ties in the maximum margin
     resolve to the lowest trial index, so summaries are reproducible.
+    Raises, before sampling, whatever the kind's scalar evaluator raises at
+    ``r`` (RadiusError outside its radius range).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if r is None:
-        r = theorem_radius(kind)
+    r = _campaign_radius(kind, r)
     rng = np.random.default_rng(seed)
     params = _sample_parameters(rng, trials)
     margins, tails = _batch_margins(kind, params, r)
@@ -301,12 +314,11 @@ def random_campaign(
 
 def campaign_function(kind: FunctionalKind, seed: int, trial: int, r: float | None = None):
     """Rebuild the exact function a campaign trial evaluated (for auditing)."""
-    if r is None:
-        r = theorem_radius(kind)
+    r = _campaign_radius(kind, r)
     rng = np.random.default_rng(seed)
     params = _sample_parameters(rng, trial + 1)
     gamma = [complex(c) for c in _shape_parameters(kind, params[trial])]
-    g = schur_from_parameters(gamma, _campaign_truncation(r))
+    g = schur_from_parameters(gamma, _campaign_truncation(kind, r))
     return kind.spec.wrap(kind, g)
 
 
@@ -331,8 +343,22 @@ def _shape_parameters(kind: FunctionalKind, params: np.ndarray) -> np.ndarray:
     return np.insert(params, [1] * gap, 0j, axis=-1) if gap > 0 else params
 
 
-def _campaign_truncation(r: float) -> int:
-    return default_truncation(min(r + 0.05, 0.9))
+def _campaign_radius(kind: FunctionalKind, r: float | None) -> float:
+    """``r``, or the theorem radius if None, checked before anything is sampled.
+
+    The zero map goes through the kind's scalar evaluator at ``r``, so a
+    campaign runs at exactly the radii where ``evaluate_kind`` gives a verdict.
+    """
+    if r is None:
+        return theorem_radius(kind)
+    evaluate_kind(kind, kind.spec.wrap(kind, zero_schwarz_slice()), r)
+    return r
+
+
+def _campaign_truncation(kind: FunctionalKind, r: float) -> int:
+    # A lacunary trial lam^m g(lam^p) weighs g by powers of r^p only.
+    rho = r**kind.p if kind.spec.lacunary else r
+    return default_truncation(min(rho + 0.05, 0.9))
 
 
 def _batch_schur(params: np.ndarray, T: int) -> tuple[np.ndarray, np.ndarray]:
@@ -345,6 +371,8 @@ def _batch_schur(params: np.ndarray, T: int) -> tuple[np.ndarray, np.ndarray]:
     as the banded recurrence c_k = A_k - sum_{j=1..d} B_j c_{k-j} with
     ``d = min(k, width-1)``: every dropped term is an exact zero, so the
     coefficients equal those of the dense O(T^2) convolution bit for bit.
+    The recursion for A and B stays trial-major; only the division runs on
+    transposed, degree-major arrays, whose sums keep the same order.
     """
     trials, count = params.shape
     width = min(max(count, 1), T + 1)
@@ -357,12 +385,15 @@ def _batch_schur(params: np.ndarray, T: int) -> tuple[np.ndarray, np.ndarray]:
         shifted[:, 1:] = A[:, :-1]
         A = g * B + shifted
         B = B + np.conj(g) * shifted
-    coeffs = np.zeros((trials, T + 1), dtype=complex)
-    coeffs[:, :width] = A
+    # Degree-major division: each step reads d contiguous rows of ``ct``.
+    Bt = np.ascontiguousarray(B.T)
+    ct = np.zeros((T + 1, trials), dtype=complex)
+    ct[:width] = A.T
     for k in range(1, T + 1):
         d = min(k, width - 1)
-        conv = np.einsum("tj,tj->t", B[:, 1 : d + 1], coeffs[:, k - d : k][:, ::-1])
-        coeffs[:, k] -= conv
+        ct[k] -= np.einsum("jt,jt->t", Bt[1 : d + 1], ct[k - d : k][::-1])
+    # Trial-major again, so downstream products sum in the same order.
+    coeffs = np.ascontiguousarray(ct.T)
     return coeffs, 1.0 - np.abs(coeffs[:, 0]) ** 2
 
 
@@ -370,7 +401,7 @@ def _batch_margins(
     kind: FunctionalKind, params: np.ndarray, r: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Margins and tail certificates of every sampled row at radius ``r``."""
-    T = _campaign_truncation(r)
+    T = _campaign_truncation(kind, r)
     coeffs, bound = _batch_schur(_shape_parameters(kind, params), T)
     value, tail = kind.spec.batch(kind, coeffs, np.abs(coeffs), bound, r)
     return value + tail - kind.spec.level, tail

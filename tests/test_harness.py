@@ -7,7 +7,9 @@ from bohrlab.harness import (
     WitnessNotFoundError,
     _batch_margins,
     _batch_schur,
+    _campaign_truncation,
     _sample_parameters,
+    _shape_parameters,
     campaign_function,
     empirical_radius,
     evaluate_kind,
@@ -21,6 +23,7 @@ from bohrlab.series import (
     Certificate,
     CoefficientSeries,
     LacunarySeries,
+    default_truncation,
     mobius_minus_series,
     mobius_series,
 )
@@ -279,6 +282,50 @@ class TestBatchSchur:
     def test_constant_term_only(self):
         params = _sample_parameters(np.random.default_rng(14), 16)
         self._assert_matches_dense(params, 0)
+
+    @pytest.mark.parametrize("gap", [0, 2])
+    def test_shorter_truncation_is_a_prefix(self, gap):
+        params = _shape_parameters(
+            FunctionalKind.gap(gap + 1, 0), _sample_parameters(np.random.default_rng(15), 32)
+        )
+        count = params.shape[1]
+        for T1 in range(count - 1, count + 12):
+            short, short_bound = _batch_schur(params, T1)
+            for T2 in (T1 + 1, T1 + 7, 90):
+                coeffs, bound = _batch_schur(params, T2)
+                assert np.array_equal(short, coeffs[:, : T1 + 1])
+                assert np.array_equal(short_bound, bound)
+
+    def test_layout_is_trial_major(self):
+        coeffs, _bound = _batch_schur(_sample_parameters(np.random.default_rng(16), 8), 20)
+        assert coeffs.flags.c_contiguous
+
+
+class TestLacunaryTruncation:
+    """A_PM trials truncate g at r^p, where it is evaluated, not at r."""
+
+    @pytest.mark.parametrize(
+        "kind",
+        [FunctionalKind.lacunary(2, 1), FunctionalKind.lacunary(3, 2)],
+        ids=lambda k: k.label(),
+    )
+    def test_sized_at_r_to_the_p(self, kind):
+        r = theorem_radius(kind)
+        T = _campaign_truncation(kind, r)
+        assert T == default_truncation(min(r**kind.p + 0.05, 0.9))
+        assert T < default_truncation(min(r + 0.05, 0.9))
+        assert campaign_function(kind, seed=31, trial=0, r=r).g.truncation_order == T
+        assert random_campaign(kind, 2000, seed=5).max_tail_error <= 1e-12
+        margins, _tails = _batch_margins(kind, _sample_parameters(np.random.default_rng(31), 8), r)
+        for trial, margin in enumerate(margins):
+            rep = evaluate_kind(kind, campaign_function(kind, seed=31, trial=trial, r=r), r)
+            assert rep.margin == pytest.approx(float(margin), rel=0, abs=1e-15)
+
+    def test_other_kinds_sized_at_r(self):
+        for kind in ALL_CAMPAIGN_KINDS:
+            if kind.tag is not FunctionalTag.A_PM or kind.p == 1:
+                r = _golden_radius(kind)
+                assert _campaign_truncation(kind, r) == default_truncation(min(r + 0.05, 0.9))
 
 
 def _golden_radius(kind):

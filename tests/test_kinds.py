@@ -1,15 +1,17 @@
 """The table of kinds: one row per tag, one validator, and facts read from it."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
+from bohrlab import harness
 from bohrlab.cli import _kind_from_args, build_parser
 from bohrlab.functionals import KINDS, FunctionalKind, FunctionalTag
-from bohrlab.harness import campaign_function, evaluate_kind
+from bohrlab.harness import campaign_function, evaluate_kind, random_campaign
 from bohrlab.radii import RadiusEquation
-from bohrlab.series import CoefficientSeries, LacunarySeries
+from bohrlab.series import CoefficientSeries, LacunarySeries, RadiusError
 
 # One kind per tag, every parameter away from its default.
 SAMPLES = {
@@ -131,3 +133,22 @@ def test_margin_never_decreases_with_the_bound(kind):
         assert all(a <= b for a, b in zip(margins, margins[1:])), (trial, r, length)
     assert pairs == 540
 
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tag", list(FunctionalTag), ids=lambda t: t.value)
+def test_campaigns_take_exactly_the_evaluator_radii(tag, monkeypatch):
+    kind = SAMPLES[tag]
+    f = campaign_function(kind, 3, 0, 0.5)
+    for r in (-0.1, 0.0, 0.5, 0.995, 1.0, 1.5, math.nan, math.inf):
+        try:
+            evaluate_kind(kind, f, r)
+        except RadiusError:
+            with monkeypatch.context() as patch:  # the radius is refused before sampling
+                patch.setattr(harness, "_sample_parameters", None)
+                with pytest.raises(RadiusError):
+                    random_campaign(kind, 20, 0, r=r)
+                with pytest.raises(RadiusError):
+                    campaign_function(kind, 3, 0, r)
+        else:
+            summary = random_campaign(kind, 20, 0, r=r)
+            assert math.isfinite(summary.max_margin)
