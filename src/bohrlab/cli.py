@@ -50,6 +50,8 @@ EXIT_UNCERTIFIED = 4
 
 #: Most points a ``sweep --grid lo:hi:count`` may ask for.
 GRID_CAP = 10_000
+#: Most trials per kind a ``selftest --trials`` campaign may ask for.
+TRIALS_CAP = 100_000
 
 
 def _fmt(x) -> str:
@@ -363,8 +365,8 @@ def _run_selftest(args) -> int:
         bad = [n for n in numbers if n not in valid]
         if bad:
             raise _UsageError(f"unknown criterion numbers: {bad}")
-    if args.trials is not None and args.trials < 1:
-        raise _UsageError("--trials must be >= 1")
+    if args.trials is not None and not 1 <= args.trials <= TRIALS_CAP:
+        raise _UsageError(f"--trials must lie in [1, {TRIALS_CAP}]")
     results = selftest_mod.run_selftest(
         numbers, stream=sys.stdout, safety_trials=args.trials,
         safety_seed_offset=args.seed,

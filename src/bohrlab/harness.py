@@ -19,6 +19,15 @@ work instead of O(T^2), with the same coefficients bit for bit.  The division
 runs degree-major, on a (T+1, trials) array whose every step reads a few
 contiguous rows, and hands back a C-contiguous (trials, T+1) copy.
 
+Campaigns run their rows through that pipeline (parameters with their gap
+zeros, Taylor coefficients, moduli, formula helpers, margins) in blocks of
+``_BLOCK`` = 1,024 rows, written into preallocated margin and tail arrays, so
+beyond the O(trials) parameters and margins memory does not grow with the
+trial count.  Blocks start at multiples of ``_BLOCK``, and a remainder
+shorter than ``_BLOCK`` joins the last block: OpenBLAS gemv sums rows in
+groups of four and takes another kernel for a tiny matrix, and the merged
+tail keeps the margins bit-identical to one pass over all rows.
+
 A campaign sizes its truncation order T once, for the radius at which the
 trial's g is evaluated: r^p for a lacunary trial lam^m g(lam^p), whose tails
 are geometric in r^p, and r for every other kind.  Campaigns and
@@ -75,6 +84,7 @@ _SCAN_TRUNCATION_RADIUS = 0.93  # truncation sized for the scan's useful range
 _WITNESS_CAP = 1.0 - 1e-6
 _PARAM_COUNT = 8
 _SAMPLE_RADIUS = 0.98
+_BLOCK = 1024  # campaign rows per pass through the margin pipeline
 
 
 class WitnessNotFoundError(RuntimeError):
@@ -400,8 +410,24 @@ def _batch_schur(params: np.ndarray, T: int) -> tuple[np.ndarray, np.ndarray]:
 def _batch_margins(
     kind: FunctionalKind, params: np.ndarray, r: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Margins and tail certificates of every sampled row at radius ``r``."""
+    """Margins and tail certificates of every sampled row at radius ``r``.
+
+    The rows run through the pipeline in blocks that start at multiples of
+    ``_BLOCK``; a remainder shorter than ``_BLOCK`` joins the last block, so
+    every block holds ``_BLOCK`` to ``2 * _BLOCK - 1`` rows and a batch under
+    ``2 * _BLOCK`` rows is a single block.  The tail rule keeps the results
+    bit-identical to one pass over all rows: OpenBLAS gemv sums rows in
+    groups of four and switches kernels on a tiny matrix, so a short last
+    block could round its rows differently.
+    """
     T = _campaign_truncation(kind, r)
-    coeffs, bound = _batch_schur(_shape_parameters(kind, params), T)
-    value, tail = kind.spec.batch(kind, coeffs, np.abs(coeffs), bound, r)
-    return value + tail - kind.spec.level, tail
+    trials = params.shape[0]
+    margins = np.empty(trials)
+    tails = np.empty(trials)
+    cuts = [k * _BLOCK for k in range(max(trials // _BLOCK, 1))] + [trials]
+    for lo, hi in zip(cuts, cuts[1:]):
+        coeffs, bound = _batch_schur(_shape_parameters(kind, params[lo:hi]), T)
+        value, tail = kind.spec.batch(kind, coeffs, np.abs(coeffs), bound, r)
+        margins[lo:hi] = value + tail - kind.spec.level
+        tails[lo:hi] = tail
+    return margins, tails

@@ -443,6 +443,19 @@ class TestSelftestCommand:
         assert rc == EXIT_OK
         assert "200 trials" in capsys.readouterr().out
 
+    def test_campaign_trials_capped_before_sampling(self, capsys, monkeypatch):
+        import bohrlab.cli as cli
+        import bohrlab.selftest as st
+
+        def no_campaign(*args, **kwargs):
+            raise AssertionError("a campaign was started")
+
+        monkeypatch.setattr(st, "random_campaign", no_campaign)
+        for trials in (cli.TRIALS_CAP + 1, 10**9, 0):
+            rc = main(["selftest", "--only", "4", "--trials", str(trials)])
+            assert rc == EXIT_USAGE
+            assert "--trials" in capsys.readouterr().err
+
     def test_tampered_constant_fails_named_criterion(self, capsys, monkeypatch):
         import bohrlab.selftest as st
 

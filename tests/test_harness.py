@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from bohrlab.functionals import FunctionalKind, FunctionalTag
 from bohrlab.harness import (
     NO_CROSSING,
     WitnessNotFoundError,
+    _BLOCK,
     _batch_margins,
     _batch_schur,
     _campaign_truncation,
@@ -299,6 +302,56 @@ class TestBatchSchur:
     def test_layout_is_trial_major(self):
         coeffs, _bound = _batch_schur(_sample_parameters(np.random.default_rng(16), 8), 20)
         assert coeffs.flags.c_contiguous
+
+
+def _one_block_margins(kind, params, r):
+    """The unblocked margin pipeline, kept as the oracle for the blocked one."""
+    T = _campaign_truncation(kind, r)
+    coeffs, bound = _batch_schur(_shape_parameters(kind, params), T)
+    value, tail = kind.spec.batch(kind, coeffs, np.abs(coeffs), bound, r)
+    return value + tail - kind.spec.level, tail
+
+
+# One kind per tag; the gap kind carries inserted zero parameters.
+BLOCK_KINDS = [
+    FunctionalKind.lacunary(2, 1),
+    FunctionalKind.gap(3, 1),
+    FunctionalKind.rogosinski(2, 1.0, 2),
+    FunctionalKind.rogosinski_center(2.0, 3),
+    FunctionalKind.improved((8.0 / 9.0,)),
+    FunctionalKind.tail_lemma(2),
+]
+
+
+class TestBlockedMargins:
+    """Campaign rows run in blocks of _BLOCK, the remainder merged into the last."""
+
+    @pytest.mark.parametrize(
+        "trials",
+        [1, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 3001, 10_000],
+    )
+    @pytest.mark.parametrize("kind", BLOCK_KINDS, ids=lambda k: k.label())
+    def test_bit_identical_to_one_block(self, kind, trials):
+        r = _golden_radius(kind)
+        params = _sample_parameters(np.random.default_rng(trials), trials)
+        margins, tails = _batch_margins(kind, params, r)
+        want_margins, want_tails = _one_block_margins(kind, params, r)
+        assert np.array_equal(margins, want_margins)
+        assert np.array_equal(tails, want_tails)
+
+    def test_peak_memory_below_one_full_coefficient_array(self):
+        kind = FunctionalKind.gap(3, 1)
+        r = theorem_radius(kind)
+        trials = 10_000
+        params = _sample_parameters(np.random.default_rng(0), trials)
+        full_array = trials * (_campaign_truncation(kind, r) + 1) * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            _batch_margins(kind, params, r)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < full_array
 
 
 class TestLacunaryTruncation:
