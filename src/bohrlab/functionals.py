@@ -12,6 +12,11 @@ indexes only the last axis and returns ``(value, tail)``.  The public
 evaluators check their inputs and pass one row; randomized campaigns pass a
 whole batch of rows through the same helpers.
 
+Every power table ``x ** exponents`` goes through one helper,
+:func:`_powers`, which stops calling ``pow`` where the powers underflow to
+zero in double precision and fills the rest with exact zeros; the tables,
+and so every sum, are unchanged bit for bit.
+
 The gap-sum evaluator also accepts an index shift for its squared block.
 One of the norm-type statements indexes that block at ``s + m`` while the
 linear block runs over ``s >= N``; the shift reproduces that asymmetric
@@ -223,8 +228,23 @@ def _report(
     )
 
 
-def _moduli(f: CoefficientSeries) -> np.ndarray:
-    return np.abs(np.asarray(f.coeffs))
+#: Below 2**-1100 a power is 0.0 in double (the least subnormal is 2**-1074).
+_UNDERFLOW_LOG2 = -1100.0
+
+
+def _powers(x: float, exponents: np.ndarray) -> np.ndarray:
+    """``x ** exponents`` for ascending exponents >= 0, without computing zeros.
+
+    For 0 < x < 1, ``pow`` runs only while ``e * log2(x) >= -1100``; every
+    later entry is exactly 0.0, as ``pow`` would return it (after a slow
+    path on underflow).  Other bases take the plain power.
+    """
+    if not 0.0 < x < 1.0:
+        return x**exponents
+    out = np.zeros(exponents.shape)
+    k = np.searchsorted(exponents, _UNDERFLOW_LOG2 / math.log2(x), side="right")
+    np.power(x, exponents[:k], out=out[:k])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +259,7 @@ def _lacunary_terms(mods, bound, p: int, m: int, r: float):
     T = mods.shape[-1] - 1
     rp = r**p
     rm = r**m
-    powers = rp ** np.arange(T + 1)
+    powers = _powers(rp, np.arange(T + 1))
     linear = rm * (mods @ powers)
     lin_tail = rm * weighted_tail(bound, rp, T, TailWeight.LINEAR)
     sq = rm * rm * (mods[..., 1:] ** 2 @ powers[1:] ** 2)
@@ -255,10 +275,10 @@ def _gap_terms(mods, bound, m: int, n: int, r: float, squared_shift: int = 0):
     """Refined sum over the support {m} | {s >= N}; see :func:`eval_gap_sum`."""
     T = mods.shape[-1] - 1
     pm = (mods[..., m] if m <= T else 0.0) * r**m
-    linear = pm + mods[..., n:] @ r ** np.arange(n, T + 1, dtype=float)
+    linear = pm + mods[..., n:] @ _powers(r, np.arange(n, T + 1, dtype=float))
     lin_tail = weighted_tail(bound, r, T, TailWeight.LINEAR)
     start = n + squared_shift
-    sq = mods[..., start:] ** 2 @ r ** (2.0 * np.arange(start, T + 1, dtype=float))
+    sq = mods[..., start:] ** 2 @ _powers(r, 2.0 * np.arange(start, T + 1, dtype=float))
     sq_tail = weighted_tail(bound, r, max(T, start - 1), TailWeight.SQUARED)
     # The bracket divides by r^m + |P_m| and by r^(m-1).  Where either
     # overflows, every r^(2s) with s >= start > m underflows: the sum is
@@ -272,7 +292,7 @@ def _gap_terms(mods, bound, m: int, n: int, r: float, squared_shift: int = 0):
 def _rogosinski_terms(mods, bound, n: int, r: float, head, head_err):
     """``head`` plus the tail sums of :func:`eval_rogosinski`, t = floor((N-1)/2)."""
     T = mods.shape[-1] - 1
-    linear = mods[..., n:] @ r ** np.arange(n, T + 1, dtype=float)
+    linear = mods[..., n:] @ _powers(r, np.arange(n, T + 1, dtype=float))
     lin_tail = weighted_tail(bound, r, T, TailWeight.LINEAR)
     t = (n - 1) // 2
     middle = 0.0
@@ -281,7 +301,7 @@ def _rogosinski_terms(mods, bound, n: int, r: float, head, head_err):
         middle = (mods[..., 1 : min(t, T) + 1] ** 2).sum(axis=-1) * r**n / (1.0 - r)
         if t > T:
             mid_tail = (t - T) * bound * bound * r**n / (1.0 - r)
-    sq = mods[..., t + 1 :] ** 2 @ r ** (2.0 * np.arange(t + 1, T + 1, dtype=float))
+    sq = mods[..., t + 1 :] ** 2 @ _powers(r, 2.0 * np.arange(t + 1, T + 1, dtype=float))
     sq_tail = weighted_tail(bound, r, T, TailWeight.SQUARED)
     bracket = 1.0 / (1.0 + mods[..., 0]) + r / (1.0 - r)
     value = head + linear + middle + bracket * sq
@@ -299,7 +319,7 @@ def _energy(mods, bound, r: float):
     """Weighted coefficient energy ``sum_s s |P_s|^2`` and its S_STAR tail."""
     T = mods.shape[-1] - 1
     s = np.arange(1, T + 1, dtype=float)
-    head = (s * mods[..., 1:] ** 2) @ r ** (2.0 * s)
+    head = (s * mods[..., 1:] ** 2) @ _powers(r, 2.0 * s)
     return head, weighted_tail(bound, r, T, TailWeight.S_STAR)
 
 
@@ -344,7 +364,7 @@ def eval_lacunary_sum(f: LacunarySeries, r: float) -> EvaluationReport:
     if not 0 <= m <= p:
         raise ValueError("the lacunary sum requires 0 <= m <= p")
     r = _check_radius(r)
-    value, tail = _lacunary_terms(_moduli(g), g.coefficient_bound, p, m, r)
+    value, tail = _lacunary_terms(g.moduli_array, g.coefficient_bound, p, m, r)
     return _report("A_PM", {"p": p, "m": m}, r, value, tail, _describe(f), _certified(g))
 
 
@@ -371,7 +391,7 @@ def eval_gap_sum(
     if squared_shift < 0:
         raise ValueError("squared_shift must be >= 0")
     r = _check_radius(r, allow_zero=True)
-    mods = _moduli(f)
+    mods = f.moduli_array
     for s in range(min(n, mods.size)):
         if s != m and mods[s] > _SUPPORT_TOL:
             raise SupportError(
@@ -448,7 +468,7 @@ def _rogosinski_core(
         raise ValueError("N must be >= 1")
     r = _check_radius(r)
     head, head_err = _composed_center(f, w, p_exp, r)
-    value, tail = _rogosinski_terms(_moduli(f), f.coefficient_bound, n, r, head, head_err)
+    value, tail = _rogosinski_terms(f.moduli_array, f.coefficient_bound, n, r, head, head_err)
     return _report(kind, params, r, value, tail, _describe(f), _certified(f))
 
 
@@ -488,7 +508,8 @@ def eval_rogosinski_center(
 
 def s_star(f: CoefficientSeries, r: float) -> float:
     """Weighted coefficient energy ``sum_s s |P_s(z)|^2`` with its tail added."""
-    head, tail = _energy(_moduli(f), f.coefficient_bound, _check_radius(r, allow_zero=True))
+    r = _check_radius(r, allow_zero=True)
+    head, tail = _energy(f.moduli_array, f.coefficient_bound, r)
     return float(head + tail)
 
 
@@ -567,7 +588,7 @@ def eval_improved_bohr(
             f"weight constraint violated by excess {check.excess!r}"
         )
     r = _check_radius(r, allow_zero=True)
-    value, tail = _improved_terms(_moduli(f), f.coefficient_bound, d, r)
+    value, tail = _improved_terms(f.moduli_array, f.coefficient_bound, d, r)
     params = {"d": list(float(x) for x in d)}
     return _report("I_M", params, r, value, tail, _describe(f), _certified(f))
 
@@ -587,7 +608,7 @@ def lemma_tail_bound_check(f: CoefficientSeries, n: int, r: float) -> float:
     if n < 1:
         raise ValueError("N must be >= 1")
     r = _check_radius(r, allow_zero=True)
-    lhs, rhs = _lemma_sides(_moduli(f), f.coefficient_bound, n, r)
+    lhs, rhs = _lemma_sides(f.moduli_array, f.coefficient_bound, n, r)
     return rhs - lhs
 
 
@@ -634,7 +655,7 @@ def _equation_kind(params, equation, **facts) -> KindSpec:
 def _rogosinski_rows(kind, coeffs, mods, bound, r):
     T = mods.shape[-1] - 1
     rho = r**kind.m  # the monomial Schwarz slice maps r to r^m
-    x = np.abs(coeffs @ (rho ** np.arange(T + 1, dtype=float)).astype(complex))
+    x = np.abs(coeffs @ _powers(rho, np.arange(T + 1, dtype=float)).astype(complex))
     df = weighted_tail(bound, rho, T, TailWeight.LINEAR)
     head, head_err = _center_power(x, df, kind.p_exp)
     return _rogosinski_terms(mods, bound, kind.n, r, head, head_err)

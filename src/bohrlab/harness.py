@@ -37,6 +37,7 @@ are geometric in r^p, and r for every other kind.  Campaigns and
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -85,6 +86,7 @@ _WITNESS_CAP = 1.0 - 1e-6
 _PARAM_COUNT = 8
 _SAMPLE_RADIUS = 0.98
 _BLOCK = 1024  # campaign rows per pass through the margin pipeline
+_TRIAL_LIMIT = 2**124  # 2 * _PARAM_COUNT * trial steps stay below the PCG64 period
 
 
 class WitnessNotFoundError(RuntimeError):
@@ -323,11 +325,23 @@ def random_campaign(
 
 
 def campaign_function(kind: FunctionalKind, seed: int, trial: int, r: float | None = None):
-    """Rebuild the exact function a campaign trial evaluated (for auditing)."""
+    """Rebuild the exact function a campaign trial evaluated (for auditing).
+
+    Each trial row is one contiguous draw of ``2 * _PARAM_COUNT`` doubles, one
+    PCG64 step each, so the stream is advanced past the earlier trials and
+    only the requested row is sampled.
+    """
+    if not isinstance(trial, numbers.Integral):
+        raise ValueError(f"trial must be an integer, got {trial!r}")
+    trial = int(trial)
+    # PCG64.advance wraps its step modulo 2**128, negative steps included.
+    if not 0 <= trial < _TRIAL_LIMIT:
+        raise ValueError(f"trial must lie in [0, 2**124), got {trial!r}")
     r = _campaign_radius(kind, r)
     rng = np.random.default_rng(seed)
-    params = _sample_parameters(rng, trial + 1)
-    gamma = [complex(c) for c in _shape_parameters(kind, params[trial])]
+    rng.bit_generator.advance(2 * _PARAM_COUNT * trial)
+    params = _sample_parameters(rng, 1)
+    gamma = [complex(c) for c in _shape_parameters(kind, params[0])]
     g = schur_from_parameters(gamma, _campaign_truncation(kind, r))
     return kind.spec.wrap(kind, g)
 

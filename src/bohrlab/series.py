@@ -24,6 +24,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
+import numpy as np
+
 __all__ = [
     "Certificate",
     "CoefficientSeries",
@@ -141,7 +143,12 @@ class CoefficientSeries:
         return abs(self.coeffs[0]) >= 1.0 - _DEGENERATE_TOL
 
     def __call__(self, lam: complex) -> complex:
-        """Partial-sum value at ``lam`` (Horner); no tail is added here."""
+        """Partial-sum value at ``lam`` (Horner); no tail is added here.
+
+        At ``lam == 0`` the value is ``c_0``, returned without the Horner loop.
+        """
+        if lam == 0:
+            return self.coeffs[0]
         acc = 0j
         for c in reversed(self.coeffs):
             acc = acc * lam + c
@@ -149,6 +156,17 @@ class CoefficientSeries:
 
     def moduli(self) -> tuple[float, ...]:
         return tuple(abs(c) for c in self.coeffs)
+
+    @functools.cached_property
+    def moduli_array(self) -> np.ndarray:
+        """Read-only float array of |c_0|..|c_T|, built on first use and kept.
+
+        Stored in the instance __dict__, not as a field, so equality, hashing
+        and repr of the frozen dataclass are unchanged.
+        """
+        mods = np.abs(np.asarray(self.coeffs))
+        mods.flags.writeable = False
+        return mods
 
     def with_certificate(self, certificate: Certificate) -> "CoefficientSeries":
         return dataclasses.replace(self, certificate=certificate)

@@ -8,6 +8,7 @@ from bohrlab.functionals import (
     ConstraintViolation,
     FunctionalKind,
     SupportError,
+    _powers,
     c_constant,
     constraint_check,
     eval_gap_sum,
@@ -446,3 +447,44 @@ class TestReportContract:
         s = CoefficientSeries((0.5 + 0j, 0.2 + 0j), 0.3, Certificate.UNKNOWN)
         rep = eval_gap_sum(s, 0, 1, 0.3)
         assert rep.inputs["certified"] is False
+
+
+class TestPowers:
+    """The one power-table helper equals ``x ** e`` bit for bit, zeros included."""
+
+    @staticmethod
+    def _bases(rng, count):
+        u = rng.random(count)
+        return np.concatenate([
+            u,                                   # uniform in (0, 1)
+            u**8,                                # bunched near 0
+            1.0 - 1e-6 * u,                      # near 1: no underflow at all
+            2.0 ** -rng.uniform(0.5, 3.0, count),  # tables reaching subnormals
+            [0.0],                               # 0 ** 0 = 1, then zeros
+        ])
+
+    def test_equals_plain_power(self):
+        rng = np.random.default_rng(2024)
+        bases = self._bases(rng, 850)
+        cases = 0
+        for x in bases:
+            x = float(x)
+            start = int(rng.integers(0, 4))
+            stop = int(rng.integers(start, 2200))
+            for exponents in (
+                np.arange(start, stop + 1),
+                np.arange(start, stop + 1, dtype=float),
+                2.0 * np.arange(start, stop + 1, dtype=float),
+            ):
+                got = _powers(x, exponents)
+                assert np.array_equal(got, x**exponents), (x, start, stop)
+                cases += 1
+        assert cases >= 10_000
+
+    def test_tables_reach_subnormals_and_zeros(self):
+        e = np.arange(2200, dtype=float)
+        got = _powers(0.5, e)
+        assert got[1074] == 2.0**-1074 and got[1075] == 0.0
+        assert np.array_equal(got, 0.5**e)
+        assert np.array_equal(_powers(0.0, e), 0.0**e)
+        assert _powers(0.0, e)[0] == 1.0

@@ -10,6 +10,7 @@ from bohrlab.harness import (
     _BLOCK,
     _batch_margins,
     _batch_schur,
+    _campaign_radius,
     _campaign_truncation,
     _sample_parameters,
     _shape_parameters,
@@ -29,6 +30,7 @@ from bohrlab.series import (
     default_truncation,
     mobius_minus_series,
     mobius_series,
+    schur_from_parameters,
 )
 
 ALL_CAMPAIGN_KINDS = [
@@ -352,6 +354,57 @@ class TestBlockedMargins:
         finally:
             tracemalloc.stop()
         assert peak < full_array
+
+
+def _full_draw_campaign_function(kind, seed, trial, r):
+    """The replay that samples every row up to ``trial``, kept as the oracle."""
+    r = _campaign_radius(kind, r)
+    rng = np.random.default_rng(seed)
+    params = _sample_parameters(rng, trial + 1)
+    gamma = [complex(c) for c in _shape_parameters(kind, params[trial])]
+    g = schur_from_parameters(gamma, _campaign_truncation(kind, r))
+    return kind.spec.wrap(kind, g)
+
+
+def _trial_series(f):
+    return f.g if isinstance(f, LacunarySeries) else f
+
+
+class TestReplayRow:
+    """campaign_function advances the stream past earlier trials and draws one row."""
+
+    @pytest.mark.parametrize("trial", [0, 1, _BLOCK - 1, _BLOCK, 9_999])
+    @pytest.mark.parametrize("kind", BLOCK_KINDS, ids=lambda k: k.label())
+    def test_same_function_as_full_draw(self, kind, trial):
+        r = _golden_radius(kind)
+        got = campaign_function(kind, seed=23, trial=trial, r=r)
+        want = _full_draw_campaign_function(kind, 23, trial, r)
+        assert _trial_series(got).coeffs == _trial_series(want).coeffs
+        assert got == want
+
+    def test_gap_kind_keeps_its_zero_parameters(self):
+        kind = FunctionalKind.gap(3, 1)
+        f = campaign_function(kind, seed=23, trial=9_999, r=_golden_radius(kind))
+        assert f.coeffs[0] == 0j and f.coeffs[2] == 0j and f.coeffs[1] != 0j
+
+    @pytest.mark.parametrize("trial", [-1, -3, 1.0, 2.5, "3", None, 2**124])
+    def test_bad_trial_rejected(self, trial):
+        with pytest.raises(ValueError, match="trial"):
+            campaign_function(FunctionalKind.gap(1, 0), seed=0, trial=trial)
+
+    def test_numpy_integer_trial(self):
+        kind = FunctionalKind.gap(1, 0)
+        assert campaign_function(kind, 0, np.int64(7)) == campaign_function(kind, 0, 7)
+
+    def test_huge_trial_allocates_one_row(self):
+        kind = FunctionalKind.gap(1, 0)
+        tracemalloc.start()
+        try:
+            campaign_function(kind, seed=0, trial=10**9)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestLacunaryTruncation:

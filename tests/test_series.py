@@ -170,6 +170,38 @@ class TestLacunary:
         assert series_from_json(series_to_json(fam)) == fam
 
 
+class TestModuliArray:
+    """The moduli array is built once per series, read-only, outside the fields."""
+
+    def test_values_and_reuse(self):
+        f = schur_from_parameters((0.3 + 0.2j, -0.5j, 0.4), 40)
+        mods = f.moduli_array
+        assert mods is f.moduli_array
+        assert np.array_equal(mods, np.abs(np.asarray(f.coeffs)))
+
+    def test_read_only(self):
+        mods = mobius_series(0.4, 30).moduli_array
+        with pytest.raises(ValueError):
+            mods[0] = 0.0
+        with pytest.raises(ValueError):
+            mods *= 2.0
+
+    def test_identity_unchanged_after_first_use(self):
+        f = schur_from_parameters((0.3 + 0.2j, -0.5j, 0.4), 40)
+        twin = schur_from_parameters((0.3 + 0.2j, -0.5j, 0.4), 40)
+        before = (hash(f), repr(f))
+        f.moduli_array
+        assert (hash(f), repr(f)) == before
+        assert f == twin and hash(f) == hash(twin)
+        assert series_from_json(series_to_json(f)).g == f
+
+    def test_call_at_zero_is_constant_coefficient(self):
+        f = schur_from_parameters((0.3 + 0.2j, -0.5j, 0.4), 40)
+        for zero in (0, 0.0, 0j, np.float64(0.0)):
+            assert f(zero) == f.coeffs[0]
+        assert abs(f(1e-300)) == pytest.approx(abs(f.coeffs[0]), rel=1e-15)
+
+
 class TestTailBound:
     def test_zero_bound(self):
         s = CoefficientSeries((0.5 + 0j,), 0.0)
