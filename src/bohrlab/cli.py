@@ -248,7 +248,9 @@ def _load_function(path: str) -> LacunarySeries:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError covers bad JSON, bad UTF-8 and integers past Python's digit
+    # limit; RecursionError covers nesting deeper than the decoder goes.
+    except (OSError, ValueError, RecursionError) as exc:
         raise _ParseError(f"cannot read function file {path!r}: {exc}")
     try:
         if isinstance(data, dict) and "form" in data:

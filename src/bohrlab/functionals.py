@@ -406,8 +406,11 @@ def eval_gap_sum(
 
 
 def zero_schwarz_slice() -> CoefficientSeries:
-    """The zero map: a Schwarz slice of every order."""
-    return CoefficientSeries((0j,), 0.0, Certificate.SCHUR_EXACT)
+    """The zero map: a Schwarz slice of every order (one shared, immutable series)."""
+    return _ZERO_SLICE
+
+
+_ZERO_SLICE = CoefficientSeries((0j,), 0.0, Certificate.SCHUR_EXACT)
 
 
 def monomial_schwarz_slice(order: int, phase: complex = 1.0 + 0j) -> CoefficientSeries:
@@ -447,7 +450,9 @@ def _composed_center(
     zmag = abs(zeta)
     if zmag >= 1.0:
         raise RadiusError("inner map escaped the disk; certificate violated")
-    x = abs(f(zeta))
+    # At zeta = 0 (H_PN) |f(0)| = |c_0| comes from the moduli, as on the
+    # batch path; Python's abs may differ from np.abs in the last bit.
+    x = float(f.moduli_array[0]) if zeta == 0 else abs(f(zeta))
     df = tail_bound(f, zmag, TailWeight.LINEAR)
     if dw > 0.0:
         df += dw / (1.0 - min(zmag + dw, MAX_EVAL_RADIUS)) ** 2

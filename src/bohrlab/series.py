@@ -15,9 +15,9 @@ certificate.
 
 from __future__ import annotations
 
-import cmath
 import dataclasses
 import functools
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -92,6 +92,12 @@ class CoefficientSeries:
     s > truncation_order; it feeds the tail certificates of
     :func:`tail_bound`.  ``certificate`` records why the function is believed
     to map the disk into its closure.
+
+    ``coeffs`` may be any iterable of numbers or a 1-D numpy array.  The
+    constructor converts it once to a complex128 array, runs every check on
+    that array and its moduli, and keeps both read-only (:attr:`coeffs_array`,
+    :attr:`moduli_array`); the ``coeffs`` field holds the same values as a
+    tuple of Python complex.
     """
 
     coeffs: tuple[complex, ...]
@@ -99,12 +105,23 @@ class CoefficientSeries:
     certificate: Certificate = Certificate.UNKNOWN
 
     def __post_init__(self) -> None:
-        coeffs = tuple(map(complex, self.coeffs))
-        if not coeffs:
+        raw = self.coeffs
+        if isinstance(raw, np.ndarray):
+            arr = np.array(raw, dtype=np.complex128)
+        else:
+            arr = np.fromiter(raw, dtype=np.complex128)
+        if arr.ndim != 1:
+            raise TypeError("coefficients must form a one-dimensional sequence")
+        if not arr.size:
             raise ValueError("a series needs at least its constant coefficient")
-        if not all(map(cmath.isfinite, coeffs)):
+        # A NaN or infinite part, or a modulus past the largest double, gives
+        # a NaN or infinite modulus (np.abs raises no warning for the last),
+        # and max passes a NaN on.
+        mods = np.abs(arr)
+        head = float(mods[0])
+        tail_max = float(mods[1:].max()) if arr.size > 1 else 0.0
+        if not (math.isfinite(head) and math.isfinite(tail_max)):
             raise ValueError("coefficients must be finite")
-        object.__setattr__(self, "coeffs", coeffs)
         bound = float(self.coefficient_bound)
         if not 0.0 <= bound <= 1.0:  # also rejects NaN
             raise ValueError(f"coefficient_bound must lie in [0, 1], got {bound!r}")
@@ -112,10 +129,8 @@ class CoefficientSeries:
         certificate = Certificate(self.certificate)
         object.__setattr__(self, "certificate", certificate)
 
-        head = abs(coeffs[0])
         if head > 1.0 + _COEFF_TOL:
             raise ValueError("constant coefficient must lie in the closed unit disk")
-        tail_max = max(map(abs, coeffs[1:]), default=0.0)
         # Maximum principle: a unimodular value at 0 forces a constant.
         if head >= 1.0 - _DEGENERATE_TOL and tail_max > _COEFF_TOL:
             raise ValueError(
@@ -124,14 +139,31 @@ class CoefficientSeries:
             )
         if certificate is Certificate.SCHUR_EXACT:
             cap = 1.0 - head * head + _COEFF_TOL
-            # Walk the tail only on failure, to name the first violation.
             if tail_max > cap:
-                for s, c in enumerate(coeffs[1:], start=1):
-                    if abs(c) > cap:
-                        raise ValueError(
-                            f"coefficient c_{s} violates |c_s| <= 1 - |c_0|^2 "
-                            f"({abs(c)!r} > {cap!r})"
-                        )
+                s = int(np.argmax(mods[1:] > cap)) + 1  # name the first violation
+                raise ValueError(
+                    f"coefficient c_{s} violates |c_s| <= 1 - |c_0|^2 "
+                    f"({float(mods[s])!r} > {cap!r})"
+                )
+
+        arr.flags.writeable = False
+        mods.flags.writeable = False
+        object.__setattr__(self, "coeffs", tuple(arr.tolist()))
+        # Kept in the instance __dict__, not as fields, so equality, hashing
+        # and repr of the frozen dataclass see only the three fields.
+        object.__setattr__(self, "_coeffs_array", arr)
+        object.__setattr__(self, "_moduli_array", mods)
+
+    @property
+    def coeffs_array(self) -> np.ndarray:
+        """Read-only complex128 array of c_0..c_T, built at construction."""
+        return self._coeffs_array
+
+    @property
+    def moduli_array(self) -> np.ndarray:
+        """Read-only float array of |c_0|..|c_T| (``np.abs``), built and
+        validated at construction."""
+        return self._moduli_array
 
     @property
     def truncation_order(self) -> int:
@@ -140,7 +172,7 @@ class CoefficientSeries:
     @property
     def is_degenerate(self) -> bool:
         """True when the series is a unimodular constant."""
-        return abs(self.coeffs[0]) >= 1.0 - _DEGENERATE_TOL
+        return bool(self.moduli_array[0] >= 1.0 - _DEGENERATE_TOL)
 
     def __call__(self, lam: complex) -> complex:
         """Partial-sum value at ``lam`` (Horner); no tail is added here.
@@ -155,18 +187,7 @@ class CoefficientSeries:
         return acc
 
     def moduli(self) -> tuple[float, ...]:
-        return tuple(abs(c) for c in self.coeffs)
-
-    @functools.cached_property
-    def moduli_array(self) -> np.ndarray:
-        """Read-only float array of |c_0|..|c_T|, built on first use and kept.
-
-        Stored in the instance __dict__, not as a field, so equality, hashing
-        and repr of the frozen dataclass are unchanged.
-        """
-        mods = np.abs(np.asarray(self.coeffs))
-        mods.flags.writeable = False
-        return mods
+        return tuple(self.moduli_array.tolist())
 
     def with_certificate(self, certificate: Certificate) -> "CoefficientSeries":
         return dataclasses.replace(self, certificate=certificate)
@@ -220,7 +241,7 @@ def mobius_series(a: float, truncation_order: int) -> CoefficientSeries:
     coeffs = [complex(a)]
     coeffs += [complex(one_minus * (-a) ** (s - 1)) for s in range(1, truncation_order + 1)]
     bound = one_minus * a**truncation_order
-    return CoefficientSeries(tuple(coeffs), bound, Certificate.SCHUR_EXACT)
+    return CoefficientSeries(coeffs, bound, Certificate.SCHUR_EXACT)
 
 
 def mobius_minus_series(a: float, truncation_order: int) -> CoefficientSeries:
@@ -232,7 +253,7 @@ def mobius_minus_series(a: float, truncation_order: int) -> CoefficientSeries:
     coeffs = [complex(-a)]
     coeffs += [complex(one_minus * a ** (s - 1)) for s in range(1, truncation_order + 1)]
     bound = one_minus * a**truncation_order
-    return CoefficientSeries(tuple(coeffs), bound, Certificate.SCHUR_EXACT)
+    return CoefficientSeries(coeffs, bound, Certificate.SCHUR_EXACT)
 
 
 def schur_from_parameters(
@@ -310,14 +331,15 @@ def schur_from_parameters(
     bound = 0.0 if constant else max(0.0, min(1.0, 1.0 - c0 * c0))
     if constant:
         coeffs = coeffs[:1]
-    return CoefficientSeries(tuple(coeffs), bound, Certificate.SCHUR_EXACT)
+    return CoefficientSeries(coeffs, bound, Certificate.SCHUR_EXACT)
 
 
 def lacunary_expand(m: int, p: int, g: CoefficientSeries) -> CoefficientSeries:
     """Embed ``g`` on the support ``{s*p + m}``: the expansion of lam^m g(lam^p).
 
     For m = 0, p = 1 the expansion is ``g`` itself, which is returned without
-    building a copy.
+    building a copy.  Any other expansion whose order m + p*T passes
+    :func:`truncation_cap` is rejected with ValueError before allocating.
     """
     if m < 0:
         raise ValueError("base order m must be >= 0")
@@ -326,10 +348,15 @@ def lacunary_expand(m: int, p: int, g: CoefficientSeries) -> CoefficientSeries:
     if (m, p) == (0, 1):
         return g
     T = m + p * g.truncation_order
-    coeffs = [0j] * (T + 1)
-    for s, c in enumerate(g.coeffs):
-        coeffs[s * p + m] = c
-    return CoefficientSeries(tuple(coeffs), g.coefficient_bound, g.certificate)
+    cap = truncation_cap()
+    if T > cap:
+        raise ValueError(
+            f"expanded order m + p*T = {T} exceeds the truncation cap {cap} "
+            f"(set {_TRUNCATION_CAP_ENV} to raise it)"
+        )
+    coeffs = np.zeros(T + 1, dtype=np.complex128)
+    coeffs[m::p] = g.coeffs_array
+    return CoefficientSeries(coeffs, g.coefficient_bound, g.certificate)
 
 
 def tail_bound(series: CoefficientSeries, r: float, weight: TailWeight) -> float:
@@ -459,11 +486,16 @@ def series_from_json(data: dict) -> LacunarySeries:
     try:
         m = int(data["m"])
         p = int(data["p"])
-        coeffs = tuple(complex(re, im) for re, im in data["coeffs"])
+        pairs = data["coeffs"]
+        if set(map(len, pairs)) - {2}:
+            raise ValueError("each coefficient must be a [re, im] pair")
+        # complex(re, im) rejects a string, null or list part (TypeError) and
+        # an integer too large for a double (OverflowError).
+        coeffs = np.fromiter(itertools.starmap(complex, pairs), dtype=np.complex128)
         bound = float(data["bound"])
         certificate = Certificate(data["certificate"])
         g = CoefficientSeries(coeffs, bound, certificate)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed series object: {exc}") from exc
     return LacunarySeries(m, p, g)
 

@@ -176,11 +176,15 @@ def slice_series(
 
     beta_mag = min(abs(beta), 1.0)
     bound = h.coefficient_bound * beta_mag ** (h.truncation_order + 1)
-    powers = [beta**s for s in range(h.truncation_order + 1)]
+    # beta^s in polar form on arrays; Python's complex power uses the same
+    # form past s = 100 (and repeated squaring below it).
+    s = np.arange(h.truncation_order + 1)
+    phase = math.atan2(beta.imag, beta.real) * s
+    powers = abs(beta) ** s * (np.cos(phase) + 1j * np.sin(phase))
     if f.form is MappingForm.Z_TIMES_SCALAR:
-        coeffs = (0j,) + tuple(c * b for c, b in zip(h.coeffs, powers))
+        coeffs = np.concatenate(([0j], h.coeffs_array * powers))
     else:
-        coeffs = tuple(scale * c * b for c, b in zip(h.coeffs, powers))
+        coeffs = scale * h.coeffs_array * powers
     return CoefficientSeries(coeffs, bound, h.certificate)
 
 
@@ -210,7 +214,7 @@ def banach_from_json(data: dict) -> BanachFunction:
             raw_target = data.get("target", data["space"])
             target = SpaceSpec(int(raw_target["n"]), _q_from_json(raw_target["q"]))
             direction = tuple(complex(re, im) for re, im in data["dir"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed mapping object: {exc}") from exc
     profile = profile_obj.expand()
     return BanachFunction(form, space, u, profile, target, direction)

@@ -212,6 +212,61 @@ class TestVerifyCommand:
         assert report["margin"] <= 0.0
 
 
+def _series_text(**fields):
+    data = {"m": 0, "p": 1, "coeffs": [[0.1, 0.0], [0.2, 0.0]], "bound": 0.0,
+            "certificate": "SCHUR_EXACT"}
+    return json.dumps({**data, **fields})
+
+
+_DIGITS_400 = "1" + "0" * 399
+
+#: Files that once ended in a traceback or MemoryError, with their status.
+_MALFORMED = {
+    "invalid-utf8": (b'{"m": 0, "certificate": "\xff\xfe"}', EXIT_PARSE),
+    "nested-100000-deep": (b"[" * 100_000, EXIT_PARSE),
+    "int-400-digits": (
+        _series_text().replace("0.2, 0.0", _DIGITS_400 + ", 0.0").encode(), EXIT_PARSE
+    ),
+    "int-5000-digits": (
+        _series_text().replace('"bound"', '"note": ' + "7" * 5000 + ', "bound"').encode(),
+        EXIT_PARSE,
+    ),
+    "m-infinity": (_series_text().replace('"m": 0', '"m": Infinity').encode(), EXIT_PARSE),
+    "modulus-past-double": (
+        _series_text().replace("0.2, 0.0", "1.7e308, 1.7e308").encode(), EXIT_PARSE
+    ),
+    "expansion-past-cap": (_series_text(p=100_000_000_000).encode(), EXIT_USAGE),
+    "ball-profile-past-cap": (
+        json.dumps({"form": "SCALAR_COMPOSITE", "space": {"n": 1, "q": 2.0},
+                    "u": [[1.0, 0.0]],
+                    "h": json.loads(_series_text(p=100_000_000_000))}).encode(),
+        EXIT_PARSE,
+    ),
+    "ball-q-400-digits": (
+        json.dumps({"form": "SCALAR_COMPOSITE", "space": {"n": 1, "q": 10**400},
+                    "u": [[1.0, 0.0]], "h": json.loads(_series_text())}).encode(),
+        EXIT_PARSE,
+    ),
+}
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize("command", ["verify", "sweep"])
+    @pytest.mark.parametrize("name", list(_MALFORMED))
+    def test_documented_status_and_empty_stdout(self, tmp_path, capsys, name, command):
+        raw, status = _MALFORMED[name]
+        path = tmp_path / "f.json"
+        path.write_bytes(raw)
+        extra = ["--r", "0.3"] if command == "verify" else ["--grid", "0.1:0.5:3"]
+        rc = main([command, "--file", str(path), "--kind", "D_NM", "--n", "1",
+                   "--m", "0", *extra])
+        captured = capsys.readouterr()
+        assert rc == status
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: " if status == EXIT_USAGE
+                                       else "parse error: ")
+
+
 class TestSweepCommand:
     def test_monotone_value_for_extremal(self, tmp_path, capsys):
         fam = LacunarySeries(1, 2, mobius_minus_series(0.3, 400))

@@ -8,6 +8,7 @@ from bohrlab.functionals import (
     ConstraintViolation,
     FunctionalKind,
     SupportError,
+    _composed_center,
     _powers,
     c_constant,
     constraint_check,
@@ -204,6 +205,15 @@ class TestRogosinski:
         assert rep_zero.value - (rep.value - center**p_exp) == pytest.approx(
             0.5**p_exp, abs=1e-12
         )
+
+    def test_center_is_constant_modulus_power(self):
+        # |f(0)| comes from np.abs, as on the batch path, not from Python's abs
+        for seed in range(40):
+            f = _random_schur(seed)
+            for p_exp in (0.5, 1.0, 2.0, 3.7):
+                head, head_err = _composed_center(f, zero_schwarz_slice(), p_exp, 0.3)
+                assert head == f.moduli_array[0] ** p_exp
+                assert head_err == 0.0
 
     def test_center_kind_equals_zero_inner_map(self):
         f = _random_schur(11)

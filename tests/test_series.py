@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +23,11 @@ from bohrlab.series import (
     tail_bound,
     weighted_tail,
 )
+
+
+def _bits(values):
+    """IEEE bit patterns of complex values, so that -0.0 and 0.0 differ."""
+    return np.asarray(values, dtype=np.complex128).view(np.uint64).tolist()
 
 
 class TestMobius:
@@ -156,6 +163,8 @@ class TestLacunary:
             coeffs[s * p + m] = c
         got = LacunarySeries(m, p, g).expand()
         assert got.coeffs == tuple(coeffs)
+        assert _bits(got.coeffs) == _bits(coeffs)
+        assert got.moduli_array.tobytes() == np.abs(np.asarray(coeffs)).tobytes()
         assert got.coefficient_bound == g.coefficient_bound
         assert got.certificate is g.certificate
 
@@ -168,6 +177,111 @@ class TestLacunary:
         assert (hash(fam), repr(fam)) == before
         assert fam == twin and hash(fam) == hash(twin)
         assert series_from_json(series_to_json(fam)) == fam
+
+
+    def test_expansion_past_cap_rejected(self, monkeypatch):
+        g = mobius_minus_series(0.3, 25)
+        monkeypatch.setenv("BOHRLAB_MAX_TRUNC", "51")
+        assert lacunary_expand(1, 2, g).truncation_order == 51
+        with pytest.raises(ValueError, match="m \\+ p\\*T = 52 exceeds the truncation cap 51"):
+            lacunary_expand(2, 2, g)
+        assert lacunary_expand(0, 1, g) is g  # nothing is expanded
+
+    def test_huge_gap_rejected_before_allocating(self):
+        fam = LacunarySeries(0, 100_000_000_000, mobius_minus_series(0.3, 25))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="exceeds the truncation cap"):
+                fam.expand()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+
+class TestConstruction:
+    """The constructor converts its input once to a complex128 array."""
+
+    @staticmethod
+    def _pairs():
+        rng = np.random.default_rng(5)
+        pairs = [[0.25, -0.5]] + rng.normal(scale=0.3, size=(400, 2)).tolist()
+        return pairs + [
+            [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [5e-324, -5e-324],
+            [1, 0], [True, False], [0, -1], [2**60 + 1, 3], [10**19, -(10**19)],
+        ]
+
+    def test_json_coeffs_match_per_element_build(self):
+        pairs = self._pairs()
+        data = {"m": 0, "p": 1, "coeffs": pairs, "bound": 0.5, "certificate": "UNKNOWN"}
+        g = series_from_json(data).g
+        expected = tuple(complex(re, im) for re, im in pairs)
+        assert _bits(g.coeffs) == _bits(expected)
+        assert all(type(c) is complex for c in g.coeffs)
+        assert g.moduli_array.tobytes() == np.abs(np.asarray(expected)).tobytes()
+        assert g.coeffs_array.tobytes() == np.asarray(expected).tobytes()
+
+    @pytest.mark.parametrize("make", [
+        tuple,
+        list,
+        lambda v: (c for c in v),
+        np.array,
+        lambda v: np.array(v).astype(np.complex64),
+        lambda v: np.array([c.real for c in v], dtype=np.float32),
+        lambda v: np.array([0, 1, -1, 2, 0]),
+        lambda v: [str(c) for c in v],
+    ], ids=["tuple", "list", "generator", "array", "complex64", "float32", "int", "str"])
+    def test_accepts_todays_inputs(self, make):
+        values = [0.25 - 0.5j, 0.1 + 0.05j, -0.0 + 0j, 0.125, 1e-300j]
+        got = CoefficientSeries(make(values), 0.5)
+        expected = tuple(map(complex, make(values)))
+        assert _bits(got.coeffs) == _bits(expected)
+        assert all(type(c) is complex for c in got.coeffs)
+
+    @pytest.mark.parametrize("bad", [
+        ((0.1, 0.2),),
+        np.zeros((2, 2)),
+        np.array(0.5),
+        0.5,
+        "0.5",
+        (None,),
+        (0.1, {}),
+    ], ids=["nested", "2-D", "0-D", "scalar", "str", "None", "dict"])
+    def test_rejects_todays_rejections(self, bad):
+        with pytest.raises((TypeError, ValueError)):
+            CoefficientSeries(bad, 0.5)
+
+    def test_input_array_left_alone(self):
+        values = np.array([0.25, 0.1j, -0.05])
+        f = CoefficientSeries(values, 0.5)
+        assert values.flags.writeable
+        values[1] = 0.9
+        assert f.coeffs[1] == 0.1j and f.coeffs_array[1] == 0.1j
+        with pytest.raises(ValueError):
+            f.coeffs_array[0] = 0.0
+
+    @pytest.mark.parametrize("position", [0, 1, 3])
+    @pytest.mark.parametrize("bad", [
+        float("nan"), complex(0.0, float("nan")), float("-inf"),
+        complex(1.7e308, 1.7e308),  # finite parts, modulus past the largest double
+    ])
+    def test_non_finite_anywhere_rejected(self, position, bad):
+        coeffs = [0.1, 0.2j, -0.1, 0.05]
+        coeffs[position] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^coefficients must be finite"):
+                CoefficientSeries(coeffs, 0.5)
+
+    @pytest.mark.parametrize("bad", [
+        [["0.5", 0.0]], [[0.5, None]], [[0.5, [0.0]]], [[0.5]], [[]], [[0.5, 0.0, 0.0]],
+        [[10**400, 0.0]], [0.5], "ab",
+    ])
+    def test_json_pairs_rejected(self, bad):
+        data = {"m": 0, "p": 1, "coeffs": [[0.1, 0.0]] + list(bad), "bound": 0.5,
+                "certificate": "UNKNOWN"}
+        with pytest.raises(ValueError, match="^malformed series object"):
+            series_from_json(data)
 
 
 class TestModuliArray:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -159,6 +160,59 @@ class TestSlices:
         f = BanachFunction(MappingForm.SCALAR_COMPOSITE, spec, u, _random_schur(6))
         sliced = slice_series(f, unit_vector([2.0, -1.0], spec))
         assert sliced.certificate is Certificate.SCHUR_EXACT
+
+
+def _slice_per_coefficient(f, omega, functional_direction=None):
+    """The slice built one coefficient at a time with Python's complex power."""
+    omega = np.asarray(omega, dtype=complex)
+    beta = complex(np.dot(support_functional(np.asarray(f.u), f.space), omega))
+    h = f.profile.coeffs
+    if f.form is MappingForm.Z_TIMES_SCALAR:
+        return (0j,) + tuple(c * beta**s for s, c in enumerate(h))
+    scale = 1.0 + 0j
+    if f.form is MappingForm.VECTOR_VALUED:
+        v = f.direction if functional_direction is None else functional_direction
+        wv = support_functional(np.asarray(v), f.target)
+        scale = complex(np.dot(wv, np.asarray(f.direction)))
+    return tuple(scale * c * beta**s for s, c in enumerate(h))
+
+
+class TestSliceArithmetic:
+    """Array products against the per-coefficient build they replace.
+
+    Powers of beta are taken in polar form on arrays, so a coefficient
+    h_s beta^s may move by a few ulps per power: |change| <= 4 (s+1) eps |c|.
+    """
+
+    @pytest.mark.parametrize("form", list(MappingForm))
+    @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0, math.inf])
+    def test_within_stated_ulps(self, form, q):
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(17)
+        for T in (40, 99, 600, 1500):
+            dim = int(rng.integers(1, 6))
+            spec = SpaceSpec(dim, q)
+            h = schur_from_parameters(
+                0.95 * np.sqrt(rng.random(4)) * np.exp(2j * np.pi * rng.random(4)), T
+            )
+            if T == 99:
+                h = lacunary_expand(1, 2, h)  # its zeros must stay exact zeros
+            u, omega, direction = (
+                unit_vector(rng.normal(size=dim) + 1j * rng.normal(size=dim), spec)
+                for _ in range(3)
+            )
+            if form is not MappingForm.VECTOR_VALUED:
+                direction = None
+            f = BanachFunction(form, spec, u, h, direction=direction)
+            functionals = (None, omega) if direction is not None else (None,)
+            for through, v in itertools.product((u, omega), functionals):
+                got = slice_series(f, through, v).coeffs_array
+                want = np.asarray(_slice_per_coefficient(f, through, v))
+                if form is MappingForm.Z_TIMES_SCALAR:
+                    assert got[0] == 0j
+                    got, want = got[1:], want[1:]
+                s = np.arange(want.size)
+                assert np.all(np.abs(got - want) <= 4.0 * (s + 1) * eps * np.abs(want))
 
 
 class TestValidationAndJson:
