@@ -6,11 +6,12 @@ certified bound for the dropped terms.  Reports carry ``margin = value +
 tail_error - 1`` so a nonpositive margin certifies the inequality at that
 radius: the tail always lands on the unsafe side.
 
-Each formula is written once, as a private helper over moduli rows of shape
-``(..., T+1)`` with a per-row coefficient bound (a float or an array): it
-indexes only the last axis and returns ``(value, tail)``.  The public
-evaluators check their inputs and pass one row; randomized campaigns pass a
-whole batch of rows through the same helpers.
+Each formula is written once, as a private helper over degree-major moduli
+of shape ``(T+1, ...)`` with a coefficient bound per function (a float or an
+array): it indexes the degree axis first and returns ``(value, tail)``.  The
+public evaluators check their inputs and pass one 1-D series; randomized
+campaigns pass a (T+1, trials) batch, one column per trial, through the same
+helpers.
 
 Every power table ``x ** exponents`` goes through one helper,
 :func:`_powers`, which stops calling ``pow`` where the powers underflow to
@@ -248,37 +249,37 @@ def _powers(x: float, exponents: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# The formulas.  ``mods`` holds moduli rows of shape (..., T+1) and ``bound``
-# the per-row bound on every dropped coefficient; each helper indexes the last
-# axis only and returns (value, tail).
+# The formulas.  ``mods`` holds moduli of shape (T+1, ...), degree first, and
+# ``bound`` the per-function bound on every dropped coefficient; each helper
+# indexes the degree axis and returns (value, tail).
 # ---------------------------------------------------------------------------
 
 
 def _lacunary_terms(mods, bound, p: int, m: int, r: float):
     """Refined sum of lam^m g(lam^p) from the moduli of ``g``; tails geometric in r^p."""
-    T = mods.shape[-1] - 1
+    T = mods.shape[0] - 1
     rp = r**p
     rm = r**m
     powers = _powers(rp, np.arange(T + 1))
-    linear = rm * (mods @ powers)
+    linear = rm * (powers @ mods)
     lin_tail = rm * weighted_tail(bound, rp, T, TailWeight.LINEAR)
-    sq = rm * rm * (mods[..., 1:] ** 2 @ powers[1:] ** 2)
+    sq = rm * rm * (powers[1:] ** 2 @ mods[1:] ** 2)
     sq_tail = rm * rm * weighted_tail(bound, rp, T, TailWeight.SQUARED)
     # Where r^m underflows the squared sum is empty and the bracket infinite.
     if not (sq + sq_tail > 0.0).any():
         return linear, lin_tail
-    bracket = 1.0 / (rm * (1.0 + mods[..., 0])) + r ** (p - m) / (1.0 - rp)
+    bracket = 1.0 / (rm * (1.0 + mods[0])) + r ** (p - m) / (1.0 - rp)
     return linear + bracket * sq, lin_tail + bracket * sq_tail
 
 
 def _gap_terms(mods, bound, m: int, n: int, r: float, squared_shift: int = 0):
     """Refined sum over the support {m} | {s >= N}; see :func:`eval_gap_sum`."""
-    T = mods.shape[-1] - 1
-    pm = (mods[..., m] if m <= T else 0.0) * r**m
-    linear = pm + mods[..., n:] @ _powers(r, np.arange(n, T + 1, dtype=float))
+    T = mods.shape[0] - 1
+    pm = (mods[m] if m <= T else 0.0) * r**m
+    linear = pm + _powers(r, np.arange(n, T + 1, dtype=float)) @ mods[n:]
     lin_tail = weighted_tail(bound, r, T, TailWeight.LINEAR)
     start = n + squared_shift
-    sq = mods[..., start:] ** 2 @ _powers(r, 2.0 * np.arange(start, T + 1, dtype=float))
+    sq = _powers(r, 2.0 * np.arange(start, T + 1, dtype=float)) @ mods[start:] ** 2
     sq_tail = weighted_tail(bound, r, max(T, start - 1), TailWeight.SQUARED)
     # The bracket divides by r^m + |P_m| and by r^(m-1).  Where either
     # overflows, every r^(2s) with s >= start > m underflows: the sum is
@@ -291,19 +292,19 @@ def _gap_terms(mods, bound, m: int, n: int, r: float, squared_shift: int = 0):
 
 def _rogosinski_terms(mods, bound, n: int, r: float, head, head_err):
     """``head`` plus the tail sums of :func:`eval_rogosinski`, t = floor((N-1)/2)."""
-    T = mods.shape[-1] - 1
-    linear = mods[..., n:] @ _powers(r, np.arange(n, T + 1, dtype=float))
+    T = mods.shape[0] - 1
+    linear = _powers(r, np.arange(n, T + 1, dtype=float)) @ mods[n:]
     lin_tail = weighted_tail(bound, r, T, TailWeight.LINEAR)
     t = (n - 1) // 2
     middle = 0.0
     mid_tail = 0.0
     if t >= 1:
-        middle = (mods[..., 1 : min(t, T) + 1] ** 2).sum(axis=-1) * r**n / (1.0 - r)
+        middle = (mods[1 : min(t, T) + 1] ** 2).sum(axis=0) * r**n / (1.0 - r)
         if t > T:
             mid_tail = (t - T) * bound * bound * r**n / (1.0 - r)
-    sq = mods[..., t + 1 :] ** 2 @ _powers(r, 2.0 * np.arange(t + 1, T + 1, dtype=float))
+    sq = _powers(r, 2.0 * np.arange(t + 1, T + 1, dtype=float)) @ mods[t + 1 :] ** 2
     sq_tail = weighted_tail(bound, r, T, TailWeight.SQUARED)
-    bracket = 1.0 / (1.0 + mods[..., 0]) + r / (1.0 - r)
+    bracket = 1.0 / (1.0 + mods[0]) + r / (1.0 - r)
     value = head + linear + middle + bracket * sq
     tail = head_err + lin_tail + mid_tail + bracket * sq_tail
     return value, tail
@@ -317,9 +318,10 @@ def _center_power(x, df, p_exp: float):
 
 def _energy(mods, bound, r: float):
     """Weighted coefficient energy ``sum_s s |P_s|^2`` and its S_STAR tail."""
-    T = mods.shape[-1] - 1
+    T = mods.shape[0] - 1
     s = np.arange(1, T + 1, dtype=float)
-    head = (s * mods[..., 1:] ** 2) @ _powers(r, 2.0 * s)
+    weights = s.reshape(s.shape + (1,) * (mods.ndim - 1))  # s down the degree axis
+    head = _powers(r, 2.0 * s) @ (weights * mods[1:] ** 2)
     return head, weighted_tail(bound, r, T, TailWeight.S_STAR)
 
 
@@ -344,7 +346,7 @@ def _lemma_rhs(c0, n: int, r: float):
 def _lemma_sides(mods, bound, n: int, r: float):
     """The refined tail bound's LHS with its tail certificates, and its RHS."""
     value, tail = _rogosinski_terms(mods, bound, n, r, 0.0, 0.0)
-    return value + tail, _lemma_rhs(mods[..., 0], n, r)
+    return value + tail, _lemma_rhs(mods[0], n, r)
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +425,12 @@ def monomial_schwarz_slice(order: int, phase: complex = 1.0 + 0j) -> Coefficient
     return CoefficientSeries(coeffs, 0.0, Certificate.SCHUR_EXACT)
 
 
+@lru_cache(maxsize=64)
+def _default_schwarz_slice(order: int) -> CoefficientSeries:
+    """``lam -> lam^order``, built once per order and shared (series are immutable)."""
+    return monomial_schwarz_slice(order)
+
+
 def _check_schwarz_slice(w: CoefficientSeries, order: int) -> None:
     if w.certificate is Certificate.UNKNOWN:
         raise ValueError("the inner map must carry a disk-self-map certificate")
@@ -497,8 +505,9 @@ def eval_rogosinski(
     if schwarz_order < 1:
         raise ValueError("the Schwarz order must be >= 1")
     if w is None:
-        w = monomial_schwarz_slice(schwarz_order)
-    _check_schwarz_slice(w, schwarz_order)
+        w = _default_schwarz_slice(schwarz_order)
+    else:
+        _check_schwarz_slice(w, schwarz_order)
     params = {"m": schwarz_order, "p_exp": p_exp, "n": n}
     return _rogosinski_core(f, p_exp, n, r, w, "G_MPN", params)
 
@@ -658,9 +667,12 @@ def _equation_kind(params, equation, **facts) -> KindSpec:
 
 
 def _rogosinski_rows(kind, coeffs, mods, bound, r):
-    T = mods.shape[-1] - 1
+    T = mods.shape[0] - 1
     rho = r**kind.m  # the monomial Schwarz slice maps r to r^m
-    x = np.abs(coeffs @ _powers(rho, np.arange(T + 1, dtype=float)).astype(complex))
+    # f(rho) on the real and imaginary planes, like every other sum here: a
+    # complex zgemv rounds a trial differently in blocks of different widths.
+    powers = _powers(rho, np.arange(T + 1, dtype=float))
+    x = np.hypot(powers @ coeffs.real, powers @ coeffs.imag)
     df = weighted_tail(bound, rho, T, TailWeight.LINEAR)
     head, head_err = _center_power(x, df, kind.p_exp)
     return _rogosinski_terms(mods, bound, kind.n, r, head, head_err)
@@ -701,7 +713,7 @@ KINDS: dict[FunctionalTag, KindSpec] = {
         evaluate=lambda k, f, r: eval_gap_sum(f, k.m, k.n, r),
         # The trial function is lam^m g(lam): m leading zero coefficients.
         batch=lambda k, c, mods, b, r: _gap_terms(
-            np.pad(mods, ((0, 0), (k.m, 0))), b, k.m, k.n, r),
+            np.pad(mods, ((k.m, 0),) + ((0, 0),) * (mods.ndim - 1)), b, k.m, k.n, r),
         gap=lambda k: k.n - k.m - 1,
         wrap=lambda k, g: lacunary_expand(k.m, 1, g),
         family=_gap_family,
@@ -717,7 +729,7 @@ KINDS: dict[FunctionalTag, KindSpec] = {
         lambda k: RadiusEquation.rogosinski_limit(k.n, k.p_exp),
         evaluate=lambda k, f, r: eval_rogosinski_center(f, k.p_exp, k.n, r),
         batch=lambda k, c, mods, b, r: _rogosinski_terms(
-            mods, b, k.n, r, *_center_power(mods[..., 0], 0.0, k.p_exp)),
+            mods, b, k.n, r, *_center_power(mods[0], 0.0, k.p_exp)),
     ),
     FunctionalTag.I_M: KindSpec(
         ("d",),

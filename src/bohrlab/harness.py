@@ -15,18 +15,23 @@ Campaign functions come from ``count`` Schur parameters (8, plus the zeros a
 gap kind inserts).  The numerator and denominator of their continued fraction
 are polynomials of degree at most ``count - 1``, so the power-series division
 that yields the Taylor coefficients is a banded recurrence: O(T * count)
-work instead of O(T^2), with the same coefficients bit for bit.  The division
-runs degree-major, on a (T+1, trials) array whose every step reads a few
-contiguous rows, and hands back a C-contiguous (trials, T+1) copy.
+work instead of O(T^2), with the same coefficients bit for bit.
 
-Campaigns run their rows through that pipeline (parameters with their gap
+Campaign coefficients are degree-major from the Schur recursion to the margins:
+a batch of trials is a (T+1, trials) array, row k holding every trial's
+coefficient of degree k.  The recursion and the division read and write
+whole contiguous rows, the moduli keep that shape, and the formula helpers
+index the degree axis first, so no step transposes a batch.
+
+Campaigns run their trials through that pipeline (parameters with their gap
 zeros, Taylor coefficients, moduli, formula helpers, margins) in blocks of
-``_BLOCK`` = 1,024 rows, written into preallocated margin and tail arrays, so
-beyond the O(trials) parameters and margins memory does not grow with the
-trial count.  Blocks start at multiples of ``_BLOCK``, and a remainder
-shorter than ``_BLOCK`` joins the last block: OpenBLAS gemv sums rows in
-groups of four and takes another kernel for a tiny matrix, and the merged
-tail keeps the margins bit-identical to one pass over all rows.
+``_BLOCK`` = 1,024 trials, written into preallocated margin and tail arrays.
+A campaign draws each block's parameters as the block runs, so beyond the
+O(trials) margins memory does not grow with the trial count.  Blocks start
+at multiples of ``_BLOCK``, and a remainder shorter than ``_BLOCK`` joins the
+last block: OpenBLAS takes other kernels for a matrix of one or a few trial
+columns, and the merged tail keeps the margins bit-identical to one pass
+over all trials.
 
 A campaign sizes its truncation order T once, for the radius at which the
 trial's g is evaluated: r^p for a lacunary trial lam^m g(lam^p), whose tails
@@ -307,9 +312,7 @@ def random_campaign(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     r = _campaign_radius(kind, r)
-    rng = np.random.default_rng(seed)
-    params = _sample_parameters(rng, trials)
-    margins, tails = _batch_margins(kind, params, r)
+    margins, tails = _batch_margins(kind, np.random.default_rng(seed), r, trials)
     arg = int(np.argmax(margins))
     values = margins - tails + 1.0
     return CampaignSummary(
@@ -354,7 +357,7 @@ def campaign_function(kind: FunctionalKind, seed: int, trial: int, r: float | No
 
 def _sample_parameters(rng: np.random.Generator, trials: int) -> np.ndarray:
     # One contiguous draw per trial row, so trial k is identical no matter
-    # how many trials the campaign runs in total.
+    # how many trials the campaign runs in total or how many each call draws.
     uv = rng.random((trials, 2, _PARAM_COUNT))
     radii = _SAMPLE_RADIUS * np.sqrt(uv[:, 0, :])
     angles = 2.0 * np.pi * uv[:, 1, :]
@@ -386,61 +389,70 @@ def _campaign_truncation(kind: FunctionalKind, r: float) -> int:
 
 
 def _batch_schur(params: np.ndarray, T: int) -> tuple[np.ndarray, np.ndarray]:
-    """Taylor coefficients (trials, T+1) of the sampled Schur parameter rows.
+    """Degree-major Taylor coefficients (T+1, trials) of the Schur parameter rows.
 
     Each of the ``count`` recursion steps raises the degrees of the numerator
     A and the denominator B by at most one, so both are polynomials of degree
     at most ``count - 1``.  They are kept on ``width = min(count, T+1)``
-    columns (one for an empty parameter row), and the division c = A/B runs
+    degree rows (one for an empty parameter row), and the division c = A/B runs
     as the banded recurrence c_k = A_k - sum_{j=1..d} B_j c_{k-j} with
     ``d = min(k, width-1)``: every dropped term is an exact zero, so the
     coefficients equal those of the dense O(T^2) convolution bit for bit.
-    The recursion for A and B stays trial-major; only the division runs on
-    transposed, degree-major arrays, whose sums keep the same order.
+    ``params`` is trial-major, (trials, count); A, B and the coefficients are
+    degree-major, so every step of the recursion and of the division reads
+    and writes whole contiguous rows of ``trials`` entries.
     """
     trials, count = params.shape
     width = min(max(count, 1), T + 1)
-    A = np.zeros((trials, width), dtype=complex)
-    B = np.zeros((trials, width), dtype=complex)
-    B[:, 0] = 1.0
-    for k in range(count - 1, -1, -1):
-        g = params[:, k : k + 1]
-        shifted = np.zeros_like(A)
-        shifted[:, 1:] = A[:, :-1]
-        A = g * B + shifted
-        B = B + np.conj(g) * shifted
-    # Degree-major division: each step reads d contiguous rows of ``ct``.
-    Bt = np.ascontiguousarray(B.T)
-    ct = np.zeros((T + 1, trials), dtype=complex)
-    ct[:width] = A.T
+    gammas = np.ascontiguousarray(params.T)
+    A = np.zeros((width, trials), dtype=complex)
+    B = np.zeros((width, trials), dtype=complex)
+    B[0] = 1.0
+    # A <- g B + z A and B <- B + conj(g) z A; B's constant row stays 1.
+    for g in gammas[::-1]:
+        new_A = g * B
+        new_A[1:] += A[:-1]
+        B[1:] += np.conj(g) * A[:-1]
+        A = new_A
+    coeffs = np.zeros((T + 1, trials), dtype=complex)
+    coeffs[:width] = A
     for k in range(1, T + 1):
         d = min(k, width - 1)
-        ct[k] -= np.einsum("jt,jt->t", Bt[1 : d + 1], ct[k - d : k][::-1])
-    # Trial-major again, so downstream products sum in the same order.
-    coeffs = np.ascontiguousarray(ct.T)
-    return coeffs, 1.0 - np.abs(coeffs[:, 0]) ** 2
+        coeffs[k] -= np.einsum("jt,jt->t", B[1 : d + 1], coeffs[k - d : k][::-1])
+    return coeffs, 1.0 - np.abs(coeffs[0]) ** 2
 
 
 def _batch_margins(
-    kind: FunctionalKind, params: np.ndarray, r: float
+    kind: FunctionalKind,
+    params: np.ndarray | np.random.Generator,
+    r: float,
+    trials: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Margins and tail certificates of every sampled row at radius ``r``.
+    """Margins and tail certificates of every trial at radius ``r``.
 
-    The rows run through the pipeline in blocks that start at multiples of
+    ``params`` holds the (trials, count) parameter rows, or is the generator
+    that draws ``trials`` of them.  A generator draws each block's rows as
+    the block runs: the rows equal those of one draw of all trials (see
+    :func:`_sample_parameters`), and they are never all in memory at once.
+
+    The trials run through the pipeline in blocks that start at multiples of
     ``_BLOCK``; a remainder shorter than ``_BLOCK`` joins the last block, so
-    every block holds ``_BLOCK`` to ``2 * _BLOCK - 1`` rows and a batch under
-    ``2 * _BLOCK`` rows is a single block.  The tail rule keeps the results
-    bit-identical to one pass over all rows: OpenBLAS gemv sums rows in
-    groups of four and switches kernels on a tiny matrix, so a short last
-    block could round its rows differently.
+    every block holds ``_BLOCK`` to ``2 * _BLOCK - 1`` trials and a batch
+    under ``2 * _BLOCK`` trials is a single block.  The tail rule keeps the
+    results bit-identical to one pass over all trials: OpenBLAS takes other
+    kernels for a matrix of one or a few trial columns, so a short last
+    block could round its trials differently.
     """
     T = _campaign_truncation(kind, r)
-    trials = params.shape[0]
+    draw = isinstance(params, np.random.Generator)
+    if not draw:
+        trials = params.shape[0]
     margins = np.empty(trials)
     tails = np.empty(trials)
     cuts = [k * _BLOCK for k in range(max(trials // _BLOCK, 1))] + [trials]
     for lo, hi in zip(cuts, cuts[1:]):
-        coeffs, bound = _batch_schur(_shape_parameters(kind, params[lo:hi]), T)
+        rows = _sample_parameters(params, hi - lo) if draw else params[lo:hi]
+        coeffs, bound = _batch_schur(_shape_parameters(kind, rows), T)
         value, tail = kind.spec.batch(kind, coeffs, np.abs(coeffs), bound, r)
         margins[lo:hi] = value + tail - kind.spec.level
         tails[lo:hi] = tail

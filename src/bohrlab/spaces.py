@@ -125,7 +125,7 @@ class BanachFunction:
         object.__setattr__(self, "form", form)
         u = tuple(complex(c) for c in self.u)
         object.__setattr__(self, "u", u)
-        if abs(lq_norm(u, self.space) - 1.0) > _UNIT_TOL:
+        if not abs(lq_norm(u, self.space) - 1.0) <= _UNIT_TOL:  # NaN fails too
             raise ValueError("u must be a unit vector of its space")
         if form is MappingForm.VECTOR_VALUED:
             if self.direction is None:
@@ -134,7 +134,7 @@ class BanachFunction:
             object.__setattr__(self, "target", target)
             direction = tuple(complex(c) for c in self.direction)
             object.__setattr__(self, "direction", direction)
-            if abs(lq_norm(direction, target) - 1.0) > _UNIT_TOL:
+            if not abs(lq_norm(direction, target) - 1.0) <= _UNIT_TOL:
                 raise ValueError("direction must be a unit vector of the target space")
         elif self.direction is not None:
             raise ValueError(f"{form.value} mappings take no target direction")
@@ -159,7 +159,7 @@ def slice_series(
     so boundedness by 1 survives the reduction.
     """
     omega_vec = _as_vector(omega, f.space)
-    if abs(lq_norm(omega_vec, f.space) - 1.0) > 1e-9:
+    if not abs(lq_norm(omega_vec, f.space) - 1.0) <= 1e-9:
         raise ValueError("slices are taken through unit vectors")
     w = support_functional(np.asarray(f.u, dtype=complex), f.space)
     beta = complex(np.dot(w, omega_vec))

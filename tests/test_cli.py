@@ -172,6 +172,25 @@ class TestVerifyCommand:
                    "--m", "0", "--r", "0.3"])
         assert rc == EXIT_PARSE
 
+    @pytest.mark.parametrize("key, name", [("u", "u"), ("dir", "direction")])
+    def test_nan_unit_vector_in_banach_file_is_parse_error(self, tmp_path, capsys, key, name):
+        from bohrlab.spaces import BanachFunction, MappingForm, SpaceSpec, banach_to_json
+
+        spec = SpaceSpec(2, 2.0)
+        f = BanachFunction(MappingForm.VECTOR_VALUED, spec, (1.0, 0.0),
+                           mobius_series(0.5, 20), spec, (0.0, 1.0))
+        data = banach_to_json(f)
+        data[key][0] = [float("nan"), 0.0]
+        path = tmp_path / "vec.json"
+        path.write_text(json.dumps(data))
+        rc = main(["verify", "--file", str(path), "--kind", "D_NM", "--n", "1",
+                   "--m", "0", "--r", "0.3"])
+        out, err = capsys.readouterr()
+        assert rc == EXIT_PARSE
+        assert out == ""
+        assert f"{name} must be a unit vector" in err
+        assert "finite" not in err
+
     def test_nan_margin_is_not_a_pass(self, tmp_path, capsys, monkeypatch):
         import dataclasses
 

@@ -9,6 +9,7 @@ from bohrlab.functionals import (
     FunctionalKind,
     SupportError,
     _composed_center,
+    _default_schwarz_slice,
     _powers,
     c_constant,
     constraint_check,
@@ -205,6 +206,27 @@ class TestRogosinski:
         assert rep_zero.value - (rep.value - center**p_exp) == pytest.approx(
             0.5**p_exp, abs=1e-12
         )
+
+    def test_default_slice_built_once(self, monkeypatch):
+        import bohrlab.functionals as functionals
+
+        f = mobius_series(0.5, 300)
+        want = [eval_rogosinski(f, m, 1.5, 2, 0.45, w=monomial_schwarz_slice(m))
+                for m in (1, 2, 3)]
+        built = []
+
+        def counting(order, *args):
+            built.append(order)
+            return monomial_schwarz_slice(order, *args)
+
+        monkeypatch.setattr(functionals, "monomial_schwarz_slice", counting)
+        _default_schwarz_slice.cache_clear()
+        for _ in range(3):
+            got = [eval_rogosinski(f, m, 1.5, 2, 0.45) for m in (1, 2, 3)]
+            assert got == want
+        assert built == [1, 2, 3]
+        assert _default_schwarz_slice(2) is _default_schwarz_slice(2)
+        assert _default_schwarz_slice(2) == monomial_schwarz_slice(2)
 
     def test_center_is_constant_modulus_power(self):
         # |f(0)| comes from np.abs, as on the batch path, not from Python's abs

@@ -8,6 +8,7 @@ from bohrlab.harness import (
     NO_CROSSING,
     WitnessNotFoundError,
     _BLOCK,
+    _PARAM_COUNT,
     _batch_margins,
     _batch_schur,
     _campaign_radius,
@@ -263,8 +264,8 @@ class TestBatchSchur:
     def _assert_matches_dense(self, params, T):
         coeffs, bound = _batch_schur(params, T)
         want_coeffs, want_bound = _dense_batch_schur(params, T)
-        assert coeffs.shape == (params.shape[0], T + 1)
-        assert np.array_equal(coeffs, want_coeffs)
+        assert coeffs.shape == (T + 1, params.shape[0])
+        assert np.array_equal(coeffs, want_coeffs.T)
         assert np.array_equal(bound, want_bound)
 
     @pytest.mark.parametrize("T", [1, 7, 8, 30, 118])
@@ -298,12 +299,17 @@ class TestBatchSchur:
             short, short_bound = _batch_schur(params, T1)
             for T2 in (T1 + 1, T1 + 7, 90):
                 coeffs, bound = _batch_schur(params, T2)
-                assert np.array_equal(short, coeffs[:, : T1 + 1])
+                assert np.array_equal(short, coeffs[: T1 + 1])
                 assert np.array_equal(short_bound, bound)
 
-    def test_layout_is_trial_major(self):
-        coeffs, _bound = _batch_schur(_sample_parameters(np.random.default_rng(16), 8), 20)
-        assert coeffs.flags.c_contiguous
+    def test_layout_is_degree_major(self):
+        params = _sample_parameters(np.random.default_rng(16), 8)
+        coeffs, bound = _batch_schur(params, 20)
+        assert coeffs.shape == (21, 8) and coeffs.flags.c_contiguous
+        assert bound.shape == (8,)
+        # Column k is trial k's series.
+        want = schur_from_parameters([complex(c) for c in params[3]], 20)
+        assert coeffs[:, 3] == pytest.approx(np.asarray(want.coeffs), rel=0, abs=1e-13)
 
 
 def _one_block_margins(kind, params, r):
@@ -323,6 +329,25 @@ BLOCK_KINDS = [
     FunctionalKind.improved((8.0 / 9.0,)),
     FunctionalKind.tail_lemma(2),
 ]
+
+
+class TestBatchHelpers:
+    """A batch is degree-major; column j through a kind's helper is trial j's 1-D call."""
+
+    @pytest.mark.parametrize("kind", BLOCK_KINDS, ids=lambda k: k.label())
+    def test_batch_matches_one_series_per_column(self, kind):
+        r = _golden_radius(kind)
+        T = _campaign_truncation(kind, r)
+        params = _sample_parameters(np.random.default_rng(17), 40)
+        coeffs, bound = _batch_schur(_shape_parameters(kind, params), T)
+        mods = np.abs(coeffs)
+        value, tail = kind.spec.batch(kind, coeffs, mods, bound, r)
+        assert value.shape == tail.shape == (40,)
+        for j in range(40):
+            one_value, one_tail = kind.spec.batch(kind, coeffs[:, j], mods[:, j], bound[j], r)
+            assert np.ndim(one_value) == 0
+            assert one_value == pytest.approx(value[j], rel=0, abs=1e-15)
+            assert one_tail == pytest.approx(tail[j], rel=0, abs=1e-15)
 
 
 class TestBlockedMargins:
@@ -354,6 +379,27 @@ class TestBlockedMargins:
         finally:
             tracemalloc.stop()
         assert peak < full_array
+
+    def test_campaign_draws_its_parameters_per_block(self):
+        trials = 100_000
+        full_params = trials * _PARAM_COUNT * np.dtype(complex).itemsize  # 12.8 MB
+        tracemalloc.start()
+        try:
+            random_campaign(FunctionalKind.gap(1, 0), trials, seed=0)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < full_params
+
+    @pytest.mark.parametrize("trials", [1, _BLOCK + 1, 3001])
+    def test_drawn_blocks_equal_one_draw(self, trials):
+        kind = FunctionalKind.gap(3, 1)
+        r = theorem_radius(kind)
+        params = _sample_parameters(np.random.default_rng(9), trials)
+        margins, tails = _batch_margins(kind, np.random.default_rng(9), r, trials)
+        want_margins, want_tails = _batch_margins(kind, params, r)
+        assert np.array_equal(margins, want_margins)
+        assert np.array_equal(tails, want_tails)
 
 
 def _full_draw_campaign_function(kind, seed, trial, r):

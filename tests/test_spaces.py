@@ -223,6 +223,19 @@ class TestValidationAndJson:
                 MappingForm.SCALAR_COMPOSITE, spec, (0.5 + 0j, 0j), _random_schur(7)
             )
 
+    @pytest.mark.parametrize("q", [1.0, 2.0, math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, complex(math.nan, 0.0), complex(1.0, math.nan)])
+    def test_nan_unit_vectors_rejected(self, q, bad):
+        spec = SpaceSpec(2, q)
+        h = _random_schur(7)
+        with pytest.raises(ValueError, match="u must"):
+            BanachFunction(MappingForm.SCALAR_COMPOSITE, spec, (bad, 0j), h)
+        with pytest.raises(ValueError, match="direction must"):
+            BanachFunction(MappingForm.VECTOR_VALUED, spec, (1.0 + 0j, 0j), h, spec, (0j, bad))
+        f = BanachFunction(MappingForm.SCALAR_COMPOSITE, spec, (1.0 + 0j, 0j), h)
+        with pytest.raises(ValueError, match="unit vectors"):
+            slice_series(f, (bad, 0j))
+
     def test_vector_valued_needs_direction(self):
         spec = SpaceSpec(2, 2.0)
         with pytest.raises(ValueError):
