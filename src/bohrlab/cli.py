@@ -21,10 +21,12 @@ import functools
 import io
 import json
 import math
+import re
 import sys
 from typing import Sequence
 
 import numpy as np
+import orjson
 
 from . import selftest as selftest_mod
 from .functionals import KINDS, FunctionalKind, FunctionalTag, report_to_json
@@ -244,12 +246,63 @@ def _kind_from_args(args, fallback=None) -> FunctionalKind:
         raise _UsageError(f"invalid parameters for kind {tag.value}: {exc}")
 
 
+#: Deepest nesting handed to orjson, which before 3.10 has no depth limit of
+#: its own and overflows the C stack on a file of a million ``[``.
+_ORJSON_DEPTH = 1024
+#: Every byte except brackets, quotes and backslashes.
+_NOT_MARKS = bytes(b for b in range(256) if b not in b'[]{}"\\')
+#: A string between two quotes, in marks that hold no escape.
+_STRING = re.compile(rb'"[^"]*"')
+_DEPTH_STEP = np.zeros(256, dtype=np.int64)
+_DEPTH_STEP[list(b"[{")] = 1
+_DEPTH_STEP[list(b"]}")] = -1
+_DEPTH_BLOCK = 1 << 16
+
+
+def _nesting_bound(raw: bytes) -> int:
+    """An upper bound on how deep any JSON parser of ``raw`` nests before it stops.
+
+    The number of opening brackets is one.  Where that passes _ORJSON_DEPTH
+    and ``raw`` has no backslash, every quote opens or closes a string, so the
+    running depth of the brackets outside strings is exact; it is summed in
+    blocks, so a huge file takes no more than a copy of its brackets.
+    """
+    marks = raw.translate(None, _NOT_MARKS)
+    opens = marks.count(b"[") + marks.count(b"{")
+    if opens <= _ORJSON_DEPTH or b"\\" in marks:  # an escape hides where a string ends
+        return opens
+    outside = np.frombuffer(_STRING.sub(b"", marks), dtype=np.uint8)
+    top = depth = 0
+    for start in range(0, outside.size, _DEPTH_BLOCK):
+        sums = np.cumsum(_DEPTH_STEP[outside[start:start + _DEPTH_BLOCK]]) + depth
+        top, depth = max(top, int(sums.max())), int(sums[-1])
+    return top
+
+
+def _decode_json(raw: bytes):
+    """The JSON document in ``raw``, decoded by orjson where it can be.
+
+    orjson refuses ``NaN``, ``Infinity``, ``1e400``, integers past a double
+    and lone surrogates, which the stdlib decoder accepts and the validators
+    then reject with messages that name the field; those files, and files
+    that may nest past ``_ORJSON_DEPTH``, take the stdlib decoder.  Integers
+    outside [-2**63, 2**64) come back from orjson as the nearest double.
+    """
+    if _nesting_bound(raw) <= _ORJSON_DEPTH:
+        try:
+            return orjson.loads(raw)
+        except orjson.JSONDecodeError:
+            pass
+    return json.loads(raw.decode("utf-8"))
+
+
 def _load_function(path: str) -> LacunarySeries:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        with open(path, "rb") as fh:
+            data = _decode_json(fh.read())
     # ValueError covers bad JSON, bad UTF-8 and integers past Python's digit
-    # limit; RecursionError covers nesting deeper than the decoder goes.
+    # limit (4,300 digits); RecursionError covers nesting deeper than the
+    # stdlib decoder goes, on files that _decode_json does not give orjson.
     except (OSError, ValueError, RecursionError) as exc:
         raise _ParseError(f"cannot read function file {path!r}: {exc}")
     try:

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -133,6 +133,15 @@ class FunctionalKind:
     @property
     def spec(self) -> "KindSpec":
         return KINDS[self.tag]
+
+    @cached_property
+    def sharp_radius(self) -> float:
+        """``spec.radius(self)``, isolated on first use and kept by this kind.
+
+        Stored in the instance __dict__, not as a field, so equality, hashing
+        and repr of the frozen dataclass are unchanged.
+        """
+        return self.spec.radius(self)
 
     # -- constructors ----------------------------------------------------
     @classmethod

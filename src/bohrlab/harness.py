@@ -136,10 +136,13 @@ class CampaignSummary:
 
 
 def theorem_radius(kind: FunctionalKind) -> float:
-    """Sharp radius of the inequality the kind evaluates (NotSharpError if none)."""
+    """Sharp radius of the inequality the kind evaluates (NotSharpError if none).
+
+    The root is isolated on the first call for each kind object and kept on it.
+    """
     if kind.spec.radius is None:
         raise NotSharpError("the inequality holds at every radius below 1: no sharp radius")
-    return kind.spec.radius(kind)
+    return kind.sharp_radius
 
 
 def evaluate_kind(

@@ -484,8 +484,8 @@ def series_to_json(obj: CoefficientSeries | LacunarySeries) -> dict:
 def series_from_json(data: dict) -> LacunarySeries:
     """Inverse of :func:`series_to_json`; a plain series comes back as m=0, p=1."""
     try:
-        m = int(data["m"])
-        p = int(data["p"])
+        m = json_int(data["m"], "m")
+        p = json_int(data["p"], "p")
         pairs = data["coeffs"]
         if set(map(len, pairs)) - {2}:
             raise ValueError("each coefficient must be a [re, im] pair")
@@ -498,6 +498,13 @@ def series_from_json(data: dict) -> LacunarySeries:
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed series object: {exc}") from exc
     return LacunarySeries(m, p, g)
+
+
+def json_int(value, name: str) -> int:
+    """``value`` if it is a JSON integer; a float, string or bool is refused."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be a JSON integer, got {value!r}")
+    return value
 
 
 def _check_unit_interval(a: float) -> float:

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .series import CoefficientSeries, series_from_json, series_to_json
+from .series import CoefficientSeries, json_int, series_from_json, series_to_json
 
 __all__ = [
     "BanachFunction",
@@ -205,14 +205,16 @@ def banach_to_json(f: BanachFunction) -> dict:
 def banach_from_json(data: dict) -> BanachFunction:
     try:
         form = MappingForm(data["form"])
-        space = SpaceSpec(int(data["space"]["n"]), _q_from_json(data["space"]["q"]))
+        space = SpaceSpec(json_int(data["space"]["n"], "space.n"),
+                          _q_from_json(data["space"]["q"]))
         u = tuple(complex(re, im) for re, im in data["u"])
         profile_obj = series_from_json(data["h"])
         target = None
         direction = None
         if form is MappingForm.VECTOR_VALUED:
             raw_target = data.get("target", data["space"])
-            target = SpaceSpec(int(raw_target["n"]), _q_from_json(raw_target["q"]))
+            target = SpaceSpec(json_int(raw_target["n"], "target.n"),
+                               _q_from_json(raw_target["q"]))
             direction = tuple(complex(re, im) for re, im in data["dir"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed mapping object: {exc}") from exc

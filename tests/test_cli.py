@@ -237,6 +237,13 @@ def _series_text(**fields):
     return json.dumps({**data, **fields})
 
 
+def _ball_text(**fields):
+    data = {"form": "VECTOR_VALUED", "space": {"n": 2, "q": 2.0},
+            "target": {"n": 2, "q": 2.0}, "u": [[1.0, 0.0], [0.0, 0.0]],
+            "dir": [[0.0, 0.0], [1.0, 0.0]], "h": json.loads(_series_text())}
+    return json.dumps({**data, **fields})
+
+
 _DIGITS_400 = "1" + "0" * 399
 
 #: Files that once ended in a traceback or MemoryError, with their status.
@@ -266,6 +273,17 @@ _MALFORMED = {
                     "u": [[1.0, 0.0]], "h": json.loads(_series_text())}).encode(),
         EXIT_PARSE,
     ),
+    # Shape fields are JSON integers: int() once read 1.9, "1" and true as 1.
+    "m-float": (_series_text(m=1.9).encode(), EXIT_PARSE),
+    "m-string": (_series_text(m="1").encode(), EXIT_PARSE),
+    "m-true": (_series_text(m=True).encode(), EXIT_PARSE),
+    "p-float": (_series_text(p=2.0).encode(), EXIT_PARSE),
+    # Integers past 2**64 decode as the nearest double.
+    "m-2**64": (_series_text(m=2**64).encode(), EXIT_PARSE),
+    "ball-space-n-float": (_ball_text(space={"n": 2.0, "q": 2.0}).encode(), EXIT_PARSE),
+    "ball-target-n-string": (_ball_text(target={"n": "2", "q": 2.0}).encode(), EXIT_PARSE),
+    # Balanced, so a parser without a depth limit recurses all the way down.
+    "nested-1000000-deep-balanced": (b"[" * 1_000_000 + b"]" * 1_000_000, EXIT_PARSE),
 }
 
 
@@ -284,6 +302,32 @@ class TestMalformedFiles:
         assert captured.out == ""
         assert captured.err.startswith("usage error: " if status == EXIT_USAGE
                                        else "parse error: ")
+
+    @pytest.mark.parametrize("text, field, argv", [
+        (_series_text(m=1, p=2), "m", ["--kind", "A_PM", "--r", "0.3"]),
+        (_series_text(m=0, p=1), "p", ["--kind", "D_NM", "--n", "1", "--m", "0", "--r", "0.3"]),
+        (_ball_text(), "space.n", ["--kind", "D_NM", "--n", "1", "--m", "0", "--r", "0.3"]),
+        (_ball_text(), "target.n", ["--kind", "D_NM", "--n", "1", "--m", "0", "--r", "0.3"]),
+    ])
+    def test_shape_fields_must_be_json_integers(self, tmp_path, capsys, text, field, argv):
+        path = tmp_path / "f.json"
+        path.write_text(text)
+        assert main(["verify", "--file", str(path), *argv]) == EXIT_OK
+        capsys.readouterr()
+        data = json.loads(text)
+        *parents, key = field.split(".")
+        holder = data
+        for name in parents:
+            holder = holder[name]
+        value = holder[key]
+        for bad in (value + 0.9, float(value), str(value), True):
+            holder[key] = bad
+            path.write_text(json.dumps(data))
+            rc = main(["verify", "--file", str(path), *argv])
+            out, err = capsys.readouterr()
+            assert rc == EXIT_PARSE
+            assert out == ""
+            assert f"{field} must be a JSON integer" in err
 
 
 class TestSweepCommand:

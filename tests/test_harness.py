@@ -239,6 +239,27 @@ class TestRandomCampaign:
         with pytest.raises(ValueError):
             random_campaign(FunctionalKind.gap(1, 0), 0, seed=1)
 
+    def test_one_root_isolation_per_kind_object(self, monkeypatch):
+        import bohrlab.functionals as functionals
+
+        calls = []
+        real = functionals.maximal_root
+        monkeypatch.setattr(functionals, "maximal_root",
+                            lambda eq: calls.append(eq) or real(eq))
+        kind = FunctionalKind.lacunary(2, 1)
+        first = random_campaign(kind, 300, seed=3)
+        second = random_campaign(kind, 300, seed=3)
+        campaign_function(kind, seed=3, trial=first.argmax_trial)
+        sharpness_witness(kind)
+        assert len(calls) == 1
+        assert repr(second) == repr(first)  # repr tells every two doubles apart
+        # The kept root leaves equality and hashing alone, and a new kind
+        # object isolates its own root to the same summary.
+        other = FunctionalKind.lacunary(2, 1)
+        assert other == kind and hash(other) == hash(kind)
+        assert repr(random_campaign(other, 300, seed=3)) == repr(first)
+        assert len(calls) == 2
+
 
 def _dense_batch_schur(params, T):
     """The unbanded O(T^2) division, kept as the oracle for the banded one."""
