@@ -88,6 +88,7 @@ NO_CROSSING = 0.99
 _SCAN_STEP = 1e-3
 _SCAN_TRUNCATION_RADIUS = 0.93  # truncation sized for the scan's useful range
 _WITNESS_CAP = 1.0 - 1e-6
+_EXCEED_BY = 1e-6  # cushion a witness's value must clear above 1
 _PARAM_COUNT = 8
 _SAMPLE_RADIUS = 0.98
 _BLOCK = 1024  # campaign rows per pass through the margin pipeline
@@ -237,9 +238,7 @@ def proof_extremal(kind: FunctionalKind) -> LacunarySeries:
     return LacunarySeries(kind.m, family, mobius_minus_series(a, T))
 
 
-def sharpness_witness(
-    kind: FunctionalKind, r: float | None = None, *, exceed_by: float = 1e-6
-) -> WitnessReport:
+def sharpness_witness(kind: FunctionalKind, r: float | None = None) -> WitnessReport:
     """Construct the proof's witness pushing the functional above 1 at ``r``.
 
     ``r`` defaults to the sharp radius + 0.01.  The lacunary and gap sums use
@@ -264,7 +263,7 @@ def sharpness_witness(
     if family is not None:
         a = _family_parameter(kind.m, family, radius, r)
         fam = LacunarySeries(kind.m, family, mobius_minus_series(a, T))
-        return _witness(kind, r, a, evaluate_kind(kind, fam, r), exceed_by)
+        return _witness(kind, r, a, evaluate_kind(kind, fam, r))
 
     # Limit-argument kinds: ascend a = 1 - 2^-k until the value clears 1.
     for k in itertools.count(1):
@@ -274,14 +273,12 @@ def sharpness_witness(
                 f"no witness for {kind.label()} at r={r!r} below the parameter cap"
             )
         rep = evaluate_kind(kind, mobius_series(a, T), r)
-        if rep.value > 1.0 + exceed_by:
-            return _witness(kind, r, a, rep, exceed_by)
+        if rep.value > 1.0 + _EXCEED_BY:
+            return _witness(kind, r, a, rep)
 
 
-def _witness(
-    kind: FunctionalKind, r: float, a: float, rep: EvaluationReport, exceed_by: float
-) -> WitnessReport:
-    exceeds = bool(rep.value > 1.0 + exceed_by)
+def _witness(kind: FunctionalKind, r: float, a: float, rep: EvaluationReport) -> WitnessReport:
+    exceeds = bool(rep.value > 1.0 + _EXCEED_BY)
     if not exceeds:
         raise WitnessNotFoundError(
             f"the construction for {kind.label()} reached only {rep.value!r} at r={r!r}"

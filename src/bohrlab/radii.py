@@ -2,16 +2,15 @@
 
 Each inequality in the package comes with a scalar equation whose maximal
 (or unique) root in (0, 1) is the sharp radius.  The polynomial kinds are
-kept as explicit (coefficient, exponent) term lists so both the value and
-the derivative are exact formula evaluations; the two rational kinds get
-closed-form values and derivatives.
+kept as explicit (coefficient, exponent) term lists; the two rational kinds
+get closed-form values.
 
 Root isolation is deliberately elementary: a uniform grid scan collects
 sign-change brackets, bisection refines each bracket, and every candidate
 must pass the residual certificate |value(root)| <= 1e-10 before it counts.
-Double roots (several kinds collapse to perfect squares when m = 0) produce
-no sign change, so grid minima of |value| are refined through the
-derivative's sign change instead and certified the same way.
+Three kinds collapse to exact perfect squares when m = 0, whose roots are
+double and show no sign change; those are isolated on the exact square
+root's terms instead, and certified on the full equation the same way.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ __all__ = [
     "RadiusEquation",
     "RadiusKind",
     "equation_value",
-    "equation_derivative",
     "maximal_root",
     "star_equivalence_check",
     "unique_root",
@@ -43,7 +41,6 @@ RESIDUAL_TOL = 1e-10
 
 _GRID_STEP = 1e-4
 _BISECT_WIDTH = 1e-14
-_MIN_FILTER = 1e-3  # loose pre-filter for double-root candidates
 
 
 class NoRootError(ValueError):
@@ -181,6 +178,28 @@ def _polynomial_terms(eq: RadiusEquation) -> list[tuple[float, int]]:
     raise ValueError(f"{k.value} is not polynomial")
 
 
+def _isolation_terms(eq: RadiusEquation) -> list[tuple[float, int]]:
+    """Terms with the equation's roots in (0, 1), perfect squares square-rooted.
+
+    At m = 0 the lacunary kinds are (3r^p - 1)^2 and the single gap equation
+    is (2r^N + r - 1)^2, the square of R_STAR_NM(N, 0); every other
+    polynomial equation isolates on its own terms.
+    """
+    if eq.m == 0:
+        if eq.kind in (RadiusKind.R_PM, RadiusKind.R_TSTAR_PM):
+            return [(3.0, eq.p), (-1.0, 0)]
+        if eq.kind is RadiusKind.R_DSTAR_NM:
+            return [(2.0, eq.n), (1.0, 1), (-1.0, 0)]
+    return _polynomial_terms(eq)
+
+
+def _terms_value(terms: list[tuple[float, int]], arr: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(arr)
+    for coef, exp in terms:
+        out = out + coef * arr**exp
+    return out
+
+
 def equation_value(eq: RadiusEquation, r: float):
     """Left side of the defining equation at ``r`` in (0, 1); accepts arrays."""
     scalar = np.ndim(r) == 0
@@ -193,66 +212,34 @@ def equation_value(eq: RadiusEquation, r: float):
     elif eq.kind is RadiusKind.ROG_NP:
         out = 2.0 * arr**eq.n - eq.p_exp * (1.0 - arr)
     else:
-        out = np.zeros_like(arr)
-        for coef, exp in _polynomial_terms(eq):
-            out = out + coef * arr**exp
+        out = _terms_value(_polynomial_terms(eq), arr)
     return float(out) if scalar else out
-
-
-def equation_derivative(eq: RadiusEquation, r: float) -> float:
-    """d/dr of the left side; used to refine roots without a sign change."""
-    if not 0.0 < r < 1.0:
-        raise ValueError("equations are evaluated on the open interval (0, 1)")
-    if eq.kind is RadiusKind.ROG_NPM:
-        m, n, p = eq.m, eq.n, eq.p_exp
-        rm = r**m
-        first = -2.0 * p * m * r ** (m - 1) / (1.0 + rm) ** 2
-        second = -2.0 * (n * r ** (n - 1) * (1.0 - r) + r**n) / (1.0 - r) ** 2
-        return first + second
-    if eq.kind is RadiusKind.ROG_NP:
-        return 2.0 * eq.n * r ** (eq.n - 1) + eq.p_exp
-    acc = 0.0
-    for coef, exp in _polynomial_terms(eq):
-        if exp >= 1:
-            acc += coef * exp * r ** (exp - 1)
-    return acc
 
 
 def maximal_root(eq: RadiusEquation) -> float:
     """Largest certified root of the equation in (0, 1).
 
-    Scans a uniform grid of step 1e-4, refines every sign-change bracket by
-    bisection, and additionally refines grid minima of |value| through the
-    derivative to catch double roots (the m = 0 equations collapse to perfect
-    squares).  Every candidate must satisfy |value| <= RESIDUAL_TOL, and the
-    grid carries no sign change above the returned root.
+    Scans a uniform grid of step 1e-4 with the isolation terms (the exact
+    square root of the m = 0 perfect squares, else the equation's own
+    terms) and refines every sign-change bracket by bisection on the same
+    terms.  Every candidate must satisfy |value| <= RESIDUAL_TOL on the full
+    equation, and the isolation terms carry no grid sign change above the
+    returned root.
     """
     if eq.is_rational():
         return unique_root(eq)
+    terms = _isolation_terms(eq)
     grid = np.arange(1, round(1.0 / _GRID_STEP)) * _GRID_STEP
-    vals = equation_value(eq, grid)
-    fn = lambda r: equation_value(eq, r)  # noqa: E731
+    vals = _terms_value(terms, grid)
+    fn = lambda r: float(_terms_value(terms, np.asarray(r)))  # noqa: E731
 
-    candidates: list[float] = []
-    exact = np.nonzero(vals == 0.0)[0]
-    candidates.extend(float(grid[i]) for i in exact)
-
+    candidates = [float(grid[i]) for i in np.nonzero(vals == 0.0)[0]]
     signs = np.sign(vals)
     flips = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
     for i in flips:
         candidates.append(_bisect(fn, float(grid[i]), float(grid[i + 1])))
 
-    mags = np.abs(vals)
-    interior = np.nonzero(
-        (mags[1:-1] <= mags[:-2]) & (mags[1:-1] <= mags[2:]) & (mags[1:-1] < _MIN_FILTER)
-    )[0]
-    dfn = lambda r: equation_derivative(eq, r)  # noqa: E731
-    for i in interior + 1:
-        lo, hi = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, len(grid) - 1)])
-        if dfn(lo) * dfn(hi) < 0.0:
-            candidates.append(_bisect(dfn, lo, hi))
-
-    certified = [r for r in candidates if abs(fn(r)) <= RESIDUAL_TOL]
+    certified = [r for r in candidates if abs(equation_value(eq, r)) <= RESIDUAL_TOL]
     if not certified:
         raise NoRootError(f"no certifiable root in (0, 1) for {eq}")
     root = max(certified)

@@ -492,7 +492,7 @@ def series_from_json(data: dict) -> LacunarySeries:
         # complex(re, im) rejects a string, null or list part (TypeError) and
         # an integer too large for a double (OverflowError).
         coeffs = np.fromiter(itertools.starmap(complex, pairs), dtype=np.complex128)
-        bound = float(data["bound"])
+        bound = json_number(data["bound"], "bound")
         certificate = Certificate(data["certificate"])
         g = CoefficientSeries(coeffs, bound, certificate)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -505,6 +505,13 @@ def json_int(value, name: str) -> int:
     if type(value) is not int:
         raise ValueError(f"{name} must be a JSON integer, got {value!r}")
     return value
+
+
+def json_number(value, name: str) -> float:
+    """``value`` as a float if it is a JSON number; a string or bool is refused."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{name} must be a JSON number, got {value!r}")
+    return float(value)
 
 
 def _check_unit_interval(a: float) -> float:

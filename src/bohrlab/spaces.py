@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .series import CoefficientSeries, json_int, series_from_json, series_to_json
+from .series import CoefficientSeries, json_int, json_number, series_from_json, series_to_json
 
 __all__ = [
     "BanachFunction",
@@ -206,7 +206,7 @@ def banach_from_json(data: dict) -> BanachFunction:
     try:
         form = MappingForm(data["form"])
         space = SpaceSpec(json_int(data["space"]["n"], "space.n"),
-                          _q_from_json(data["space"]["q"]))
+                          _q_from_json(data["space"]["q"], "space.q"))
         u = tuple(complex(re, im) for re, im in data["u"])
         profile_obj = series_from_json(data["h"])
         target = None
@@ -214,7 +214,7 @@ def banach_from_json(data: dict) -> BanachFunction:
         if form is MappingForm.VECTOR_VALUED:
             raw_target = data.get("target", data["space"])
             target = SpaceSpec(json_int(raw_target["n"], "target.n"),
-                               _q_from_json(raw_target["q"]))
+                               _q_from_json(raw_target["q"], "target.q"))
             direction = tuple(complex(re, im) for re, im in data["dir"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed mapping object: {exc}") from exc
@@ -226,10 +226,8 @@ def _q_to_json(q: float):
     return "inf" if math.isinf(q) else q
 
 
-def _q_from_json(raw) -> float:
-    if raw == "inf":
-        return math.inf
-    return float(raw)
+def _q_from_json(raw, name: str) -> float:
+    return math.inf if raw == "inf" else json_number(raw, name)
 
 
 def _as_vector(v: Sequence[complex], spec: SpaceSpec) -> np.ndarray:

@@ -282,6 +282,11 @@ _MALFORMED = {
     "m-2**64": (_series_text(m=2**64).encode(), EXIT_PARSE),
     "ball-space-n-float": (_ball_text(space={"n": 2.0, "q": 2.0}).encode(), EXIT_PARSE),
     "ball-target-n-string": (_ball_text(target={"n": "2", "q": 2.0}).encode(), EXIT_PARSE),
+    # bound and q are JSON numbers: float() once read "0", "2" and bools.
+    "bound-false": (_series_text(bound=False).encode(), EXIT_PARSE),
+    "bound-string": (_series_text(bound="0").encode(), EXIT_PARSE),
+    "ball-q-true": (_ball_text(space={"n": 2, "q": True}).encode(), EXIT_PARSE),
+    "ball-q-string": (_ball_text(target={"n": 2, "q": "2"}).encode(), EXIT_PARSE),
     # Balanced, so a parser without a depth limit recurses all the way down.
     "nested-1000000-deep-balanced": (b"[" * 1_000_000 + b"]" * 1_000_000, EXIT_PARSE),
 }
@@ -328,6 +333,29 @@ class TestMalformedFiles:
             assert rc == EXIT_PARSE
             assert out == ""
             assert f"{field} must be a JSON integer" in err
+
+
+    @pytest.mark.parametrize("name, field", [
+        ("bound-false", "bound"), ("bound-string", "bound"),
+        ("ball-q-true", "space.q"), ("ball-q-string", "target.q"),
+    ])
+    def test_number_fields_must_be_json_numbers(self, tmp_path, capsys, name, field):
+        path = tmp_path / "f.json"
+        path.write_bytes(_MALFORMED[name][0])
+        rc = main(["verify", "--file", str(path), "--kind", "D_NM", "--n", "1",
+                   "--m", "0", "--r", "0.3"])
+        assert rc == EXIT_PARSE
+        assert f"{field} must be a JSON number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        _series_text(bound=0), _ball_text(space={"n": 2, "q": "inf"}),
+        _ball_text(target={"n": 2, "q": 2}),
+    ])
+    def test_integer_and_inf_numbers_still_load(self, tmp_path, text):
+        path = tmp_path / "f.json"
+        path.write_text(text)
+        assert main(["verify", "--file", str(path), "--kind", "D_NM", "--n", "1",
+                     "--m", "0", "--r", "0.3"]) == EXIT_OK
 
 
 class TestSweepCommand:

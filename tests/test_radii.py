@@ -1,14 +1,31 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from bohrlab.radii import (
+    PARAMETER_CAP,
     RadiusEquation,
-    equation_derivative,
+    _isolation_terms,
+    _polynomial_terms,
     equation_value,
     maximal_root,
     star_equivalence_check,
     unique_root,
 )
+
+
+def _collect(terms):
+    """Integer coefficient of each power, zero coefficients dropped."""
+    acc = Counter()
+    for coef, exp in terms:
+        assert coef == int(coef)
+        acc[exp] += int(coef)
+    return {exp: coef for exp, coef in acc.items() if coef != 0}
+
+
+def _square(terms):
+    return [(c1 * c2, e1 + e2) for c1, e1 in terms for c2, e2 in terms]
 
 
 class TestEquationValue:
@@ -37,25 +54,21 @@ class TestEquationValue:
             with pytest.raises(ValueError):
                 equation_value(eq, r)
 
-    def test_derivative_matches_difference_quotient(self):
-        eqs = [
-            RadiusEquation.refined_lacunary(3, 2),
-            RadiusEquation.gap(4, 2),
-            RadiusEquation.rogosinski(3, 1.5, 2),
-            RadiusEquation.rogosinski_limit(2, 0.7),
-        ]
-        h = 1e-7
-        for eq in eqs:
-            for r in (0.2, 0.5, 0.8):
-                fd = (equation_value(eq, r + h) - equation_value(eq, r - h)) / (2 * h)
-                assert equation_derivative(eq, r) == pytest.approx(fd, rel=1e-5, abs=1e-5)
+
+class TestIsolationTerms:
+    def test_m0_squares_factor_exactly(self):
+        for k in range(1, PARAMETER_CAP + 1):
+            for eq in (RadiusEquation.lacunary(k, 0), RadiusEquation.refined_lacunary(k, 0),
+                       RadiusEquation.gap(k, 0)):
+                square = _square(_isolation_terms(eq))
+                assert _collect(square) == _collect(_polynomial_terms(eq))
 
 
 class TestMaximalRoot:
     def test_perfect_square_roots(self):
-        for p in range(1, 11):
-            root = maximal_root(RadiusEquation.refined_lacunary(p, 0))
-            assert abs(root - 3.0 ** (-1.0 / p)) <= 1e-10
+        for p in range(1, PARAMETER_CAP + 1):
+            for eq in (RadiusEquation.lacunary(p, 0), RadiusEquation.refined_lacunary(p, 0)):
+                assert abs(maximal_root(eq) - 3.0 ** (-1.0 / p)) <= 1e-14
 
     def test_piecewise_gap_goldens(self):
         assert abs(maximal_root(RadiusEquation.gap_piecewise(1, 0)) - 1 / 3) <= 1e-10
@@ -138,6 +151,11 @@ class TestStarEquivalence:
     def test_known_pairs_tight(self):
         assert star_equivalence_check(1, 0) <= 1e-12
         assert star_equivalence_check(2, 1) <= 1e-12
+
+    def test_m0_roots_identical(self):
+        # both equations isolate on the terms 2r^N + r - 1
+        for n in range(1, PARAMETER_CAP + 1):
+            assert star_equivalence_check(n, 0) == 0.0
 
     def test_parameter_sweep(self):
         for m in range(0, 5):
