@@ -15,7 +15,11 @@ Campaign functions come from ``count`` Schur parameters (8, plus the zeros a
 gap kind inserts).  The numerator and denominator of their continued fraction
 are polynomials of degree at most ``count - 1``, so the power-series division
 that yields the Taylor coefficients is a banded recurrence: O(T * count)
-work instead of O(T^2), with the same coefficients bit for bit.
+work instead of O(T^2), with the same coefficients bit for bit.  Each step
+of the recurrence is one ``np.vecdot`` over the band (numpy >= 2.0), whose
+loop forms every complex product unfused and adds them in ascending degree,
+as the dense convolution does; :func:`_batch_schur` says why no faster numpy
+form may take its place.
 
 Campaign coefficients are degree-major from the Schur recursion to the margins:
 a batch of trials is a (T+1, trials) array, row k holding every trial's
@@ -401,6 +405,17 @@ def _batch_schur(params: np.ndarray, T: int) -> tuple[np.ndarray, np.ndarray]:
     ``params`` is trial-major, (trials, count); A, B and the coefficients are
     degree-major, so every step of the recursion and of the division reads
     and writes whole contiguous rows of ``trials`` entries.
+
+    Each step's sum is one ``np.vecdot`` over the degree axis.  ``vecdot``
+    conjugates its first argument, so that argument is ``conj(B)``, taken
+    once: negation is exact, and the two conjugations give B's products
+    exactly.  Its loop forms each complex product without a fused
+    multiply-add and adds the products in ascending j, which is what keeps
+    the coefficients byte-identical to the dense convolution.  The reversed
+    coefficient rows have a negative stride, which keeps ``vecdot`` on that
+    loop rather than BLAS ``zdotc``.  ``(B * W).sum(axis=0)`` is faster but
+    not byte-identical: numpy's complex multiply fuses the products there,
+    moving coefficients by a few 1e-14, so it must not replace ``vecdot``.
     """
     trials, count = params.shape
     width = min(max(count, 1), T + 1)
@@ -416,9 +431,10 @@ def _batch_schur(params: np.ndarray, T: int) -> tuple[np.ndarray, np.ndarray]:
         A = new_A
     coeffs = np.zeros((T + 1, trials), dtype=complex)
     coeffs[:width] = A
+    Bc = np.conj(B)
     for k in range(1, T + 1):
         d = min(k, width - 1)
-        coeffs[k] -= np.einsum("jt,jt->t", B[1 : d + 1], coeffs[k - d : k][::-1])
+        coeffs[k] -= np.vecdot(Bc[1 : d + 1], coeffs[k - d : k][::-1], axis=0)
     return coeffs, 1.0 - np.abs(coeffs[0]) ** 2
 
 

@@ -294,6 +294,19 @@ class TestBatchSchur:
         params = _sample_parameters(np.random.default_rng(11), 64)
         self._assert_matches_dense(params, T)
 
+    # 1,808 trials is the merged last block of a 10,000-trial campaign;
+    # T = width - 1 is the last degree row of A and B, T = width one past it.
+    @pytest.mark.parametrize("trials", [1, 2, 1023, 1808])
+    @pytest.mark.parametrize("count", [0, 1, 9])
+    def test_trial_and_parameter_counts_bit_identical(self, trials, count):
+        rng = np.random.default_rng(17)
+        params = np.concatenate(
+            [_sample_parameters(rng, trials), _sample_parameters(rng, trials)], axis=1
+        )[:, :count]
+        width = max(count, 1)
+        for T in (width - 1, width, 222):
+            self._assert_matches_dense(params, T)
+
     def test_gap_rows_with_inserted_zeros(self):
         params = _sample_parameters(np.random.default_rng(12), 64)
         for gap in (1, 2):
