@@ -12,6 +12,7 @@ from .functionals import (
     EvaluationReport,
     FunctionalKind,
     FunctionalTag,
+    Status,
     SupportError,
     c_constant,
     constraint_check,
@@ -22,7 +23,6 @@ from .functionals import (
     eval_rogosinski_center,
     lemma_tail_bound_check,
     monomial_schwarz_slice,
-    report_to_json,
     s_star,
     zero_schwarz_slice,
 )

@@ -2,15 +2,21 @@
 
 Exit statuses are a stable contract:
 
-* 0 success (for ``verify``: certified input with margin <= 0)
-* 1 inequality violation (margin > 0), or a failed selftest/witness
+* 0 success (``verify``: HOLDS, a certified input with margin <= 0)
+* 1 inequality violation (``verify``: VIOLATED, margin > 0 or NaN), or a
+  failed selftest/witness
 * 2 usage error (unknown flags, bad parameters, exceeded caps)
 * 3 parse error (unreadable or malformed function file)
-* 4 uncertified input (evaluated and printed, but the verdict is informational)
+* 4 uncertified input (``verify``: UNCERTIFIED; evaluated and printed, but
+  the verdict is informational)
 
-All file output is deterministic byte-for-byte for fixed flags and seeds:
-rows are emitted in sorted parameter order, floats with 17 significant
-digits, JSON with sorted keys.
+``verify`` maps its report's status to 0, 1 or 4 in one place,
+:data:`STATUS_EXIT`.  ``sweep`` gives no verdict and exits 0, even for an
+uncertified file.
+
+All output goes through one writer, :func:`_write`, and is deterministic
+byte-for-byte for fixed flags and seeds: rows are emitted in sorted parameter
+order, CSV floats with 17 significant digits, JSON with sorted keys.
 """
 
 from __future__ import annotations
@@ -29,13 +35,12 @@ import numpy as np
 import orjson
 
 from . import selftest as selftest_mod
-from .functionals import KINDS, FunctionalKind, FunctionalTag, report_to_json
+from .functionals import KINDS, FunctionalKind, FunctionalTag, Status
 from .harness import NotSharpError, evaluate_kind, sharpness_witness
 from .radii import (
     PARAMETER_CAP,
     NoRootError,
     RadiusEquation,
-    RadiusKind,
     equation_value,
     maximal_root,
 )
@@ -50,16 +55,14 @@ EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_UNCERTIFIED = 4
 
+#: The exit status of each ``verify`` verdict.
+STATUS_EXIT = {Status.HOLDS: EXIT_OK, Status.VIOLATED: EXIT_VIOLATION,
+               Status.UNCERTIFIED: EXIT_UNCERTIFIED}
+
 #: Most points a ``sweep --grid lo:hi:count`` may ask for.
 GRID_CAP = 10_000
 #: Most trials per kind a ``selftest --trials`` campaign may ask for.
 TRIALS_CAP = 100_000
-
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
 
 
 class _UsageError(Exception):
@@ -164,44 +167,26 @@ def entrypoint() -> None:
 
 
 def _radius_rows(p_max: int, m_max: int, n_max: int) -> list[list]:
-    rows: list[list] = []
-    for p in range(1, p_max + 1):
-        for m in range(0, min(p, m_max) + 1):
-            for kind, ctor in (
-                (RadiusKind.R_PM, RadiusEquation.lacunary),
-                (RadiusKind.R_TSTAR_PM, RadiusEquation.refined_lacunary),
-            ):
-                eq = ctor(p, m)
-                root = maximal_root(eq)
-                rows.append([kind.value, p, m, "", root, equation_value(eq, root)])
-    for m in range(0, m_max + 1):
-        for n in range(m + 1, n_max + 1):
-            for kind, ctor in (
-                (RadiusKind.R_STAR_NM, RadiusEquation.gap_piecewise),
-                (RadiusKind.R_DSTAR_NM, RadiusEquation.gap),
-            ):
-                eq = ctor(n, m)
-                root = maximal_root(eq)
-                rows.append([kind.value, "", m, n, root, equation_value(eq, root)])
-    for p_exp in (1.0, 2.0):
-        for m in range(1, m_max + 1):
-            for n in range(1, n_max + 1):
-                eq = RadiusEquation.rogosinski(n, p_exp, m)
-                root = maximal_root(eq)
-                rows.append(
-                    [RadiusKind.ROG_NPM.value, p_exp, m, n, root, equation_value(eq, root)]
-                )
-    for p_exp in (1.0, 2.0):
-        for n in range(1, n_max + 1):
-            eq = RadiusEquation.rogosinski_limit(n, p_exp)
-            root = maximal_root(eq)
-            rows.append(
-                [RadiusKind.ROG_NP.value, p_exp, "", n, root, equation_value(eq, root)]
-            )
-    def _num(x) -> float:
-        return -1.0 if x == "" else float(x)
-
-    rows.sort(key=lambda row: (row[0], _num(row[1]), _num(row[2]), _num(row[3])))
+    """One row per equation of the table, sorted by kind, then p (or p_exp), m, n."""
+    ns = range(1, n_max + 1)
+    pm = [(p, m) for p in range(1, p_max + 1) for m in range(min(p, m_max) + 1)]
+    nm = [(n, m) for m in range(m_max + 1) for n in range(m + 1, n_max + 1)]
+    equations = (
+        [RadiusEquation.lacunary(p, m) for p, m in pm]
+        + [RadiusEquation.refined_lacunary(p, m) for p, m in pm]
+        + [RadiusEquation.gap_piecewise(n, m) for n, m in nm]
+        + [RadiusEquation.gap(n, m) for n, m in nm]
+        + [RadiusEquation.rogosinski(n, q, m) for q in (1.0, 2.0)
+           for m in range(1, m_max + 1) for n in ns]
+        + [RadiusEquation.rogosinski_limit(n, q) for q in (1.0, 2.0) for n in ns]
+    )
+    rows = []
+    for eq in equations:
+        root = maximal_root(eq)
+        params = (eq.p_exp if eq.is_rational() else eq.p, eq.m, eq.n)
+        rows.append([eq.kind.value, *("" if x is None else x for x in params),
+                     root, equation_value(eq, root)])
+    rows.sort(key=lambda row: (row[0], *(-1.0 if x == "" else float(x) for x in row[1:4])))
     return rows
 
 
@@ -210,13 +195,8 @@ def _run_radii(args) -> int:
         cap = getattr(args, name)
         if cap < 0 or cap > PARAMETER_CAP:
             raise _UsageError(f"--{name.replace('_', '-')} must lie in [0, {PARAMETER_CAP}]")
-    rows = _radius_rows(args.p_max, args.m_max, args.n_max)
-    header = ["kind", "p", "m", "n", "root", "residual"]
-    if args.format == "csv":
-        _emit(args.out, _csv_text(header, rows))
-    else:
-        payload = [dict(zip(header, row)) for row in rows]
-        _emit(args.out, json.dumps(payload, sort_keys=True) + "\n")
+    _write(args, ["kind", "p", "m", "n", "root", "residual"],
+           _radius_rows(args.p_max, args.m_max, args.n_max))
     return EXIT_OK
 
 
@@ -326,19 +306,15 @@ def _run_verify(args) -> int:
         report = evaluate_kind(kind, fdesc, args.r)
     except (RadiusError, ValueError, TypeError) as exc:
         raise _UsageError(str(exc))
-    if args.format == "json":
-        _emit(args.out, json.dumps(report_to_json(report), sort_keys=True) + "\n")
-    else:
-        header = ["kind", "params", "r", "value", "tail_error", "margin"]
-        params = ";".join(f"{k}={v}" for k, v in kind.params().items())
-        row = [kind.tag.value, params, args.r, report.value, report.tail_error, report.margin]
-        _emit(args.out, _csv_text(header, [row]))
-    if not report.inputs.get("certified", False):
+    params = ";".join(f"{k}={v}" for k, v in kind.params().items())
+    row = [kind.tag.value, params, args.r, report.value, report.tail_error, report.margin]
+    _write(args, ["kind", "params", "r", "value", "tail_error", "margin"], [row],
+           report.to_json())
+    status = report.status
+    if status is Status.UNCERTIFIED:
         print("warning: input carries no disk-self-map certificate; "
               "the verdict is informational", file=sys.stderr)
-        return EXIT_UNCERTIFIED
-    # A NaN margin is no proof that the inequality holds.
-    return EXIT_VIOLATION if not report.margin <= 0.0 else EXIT_OK
+    return STATUS_EXIT[status]
 
 
 # ----------------------------------------------------------------- sweep ----
@@ -359,7 +335,6 @@ def _run_sweep(args) -> int:
     with np.errstate(invalid="ignore", over="ignore"):
         grid = np.linspace(lo, hi, count).tolist()
     grid[0] = lo  # 0 * step is NaN where the step is not finite
-    header = ["r", "value", "margin", "status"]
     rows = []
     for r in grid:
         if not 0.0 < r < MAX_EVAL_RADIUS:
@@ -370,14 +345,7 @@ def _run_sweep(args) -> int:
         except (RadiusError, ValueError, TypeError) as exc:
             raise _UsageError(str(exc))
         rows.append([r, report.value, report.margin, "OK"])
-    if args.format == "csv":
-        _emit(args.out, _csv_text(header, rows))
-    else:
-        payload_json = [dict(zip(header, row)) for row in rows]
-        for item in payload_json:  # JSON has no NaN or infinity
-            if not math.isfinite(item["r"]):
-                item["r"] = None
-        _emit(args.out, json.dumps(payload_json, sort_keys=True) + "\n")
+    _write(args, ["r", "value", "margin", "status"], rows)
     return EXIT_OK
 
 
@@ -396,13 +364,10 @@ def _run_sharpness(args) -> int:
     except (ValueError, RuntimeError) as exc:
         print(f"sharpness failure: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    if args.format == "json":
-        _emit(args.out, json.dumps(witness.to_json(), sort_keys=True) + "\n")
-    else:
-        header = ["kind", "r", "witness_param", "value", "tail_error", "exceeds_one"]
-        row = [kind.tag.value, witness.r, witness.witness_param, witness.value,
-               witness.tail_error, witness.exceeds_one]
-        _emit(args.out, _csv_text(header, [row]))
+    row = [kind.tag.value, witness.r, witness.witness_param, witness.value,
+           witness.tail_error, witness.exceeds_one]
+    _write(args, ["kind", "r", "witness_param", "value", "tail_error", "exceeds_one"],
+           [row], witness.to_json())
     return EXIT_OK
 
 
@@ -432,20 +397,27 @@ def _run_selftest(args) -> int:
 # ------------------------------------------------------------------ misc ----
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(x) for x in row])
-    return buf.getvalue()
+def _write(args, header: list[str], rows: list[list], payload=None) -> None:
+    """Print ``rows`` under ``header`` to ``args.out`` (stdout if None) in ``args.format``.
 
-
-def _emit(out_path: str | None, text: str) -> None:
-    if out_path is None:
+    CSV writes floats with 17 significant digits.  JSON writes ``payload`` if
+    one is given, and otherwise one object per row with a non-finite float as
+    null (JSON has no NaN or infinity).
+    """
+    if args.format == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(
+            [header] + [[f"{x:.17g}" if isinstance(x, float) else x for x in row] for row in rows])
+        text = buf.getvalue()
+    else:
+        if payload is None:
+            payload = [{k: None if isinstance(x, float) and not math.isfinite(x) else x
+                        for k, x in zip(header, row)} for row in rows]
+        text = json.dumps(payload, sort_keys=True) + "\n"
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
 
 

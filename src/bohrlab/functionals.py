@@ -4,7 +4,9 @@ Every evaluator consumes a slice series (coefficient moduli along one
 direction), sums the printed formula up to the truncation order, and adds a
 certified bound for the dropped terms.  Reports carry ``margin = value +
 tail_error - 1`` so a nonpositive margin certifies the inequality at that
-radius: the tail always lands on the unsafe side.
+radius: the tail always lands on the unsafe side.  A report decides its own
+verdict, its ``status``: HOLDS, VIOLATED, or UNCERTIFIED when the input
+carries no disk-self-map certificate.
 
 Each formula is written once, as a private helper over degree-major moduli
 of shape ``(T+1, ...)`` with a coefficient bound per function (a float or an
@@ -30,7 +32,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -56,6 +58,7 @@ __all__ = [
     "KINDS",
     "KindSpec",
     "NotSharpError",
+    "Status",
     "SupportError",
     "c_constant",
     "constraint_check",
@@ -65,7 +68,6 @@ __all__ = [
     "eval_rogosinski",
     "eval_rogosinski_center",
     "lemma_tail_bound_check",
-    "report_to_json",
     "s_star",
     "zero_schwarz_slice",
     "monomial_schwarz_slice",
@@ -86,20 +88,49 @@ class NotSharpError(ValueError):
     """The kind has no sharp radius, or the proofs give no witness for its parameters."""
 
 
+class Status(str, Enum):
+    """The verdict of one evaluation."""
+
+    HOLDS = "HOLDS"                # certified input, margin <= 0
+    VIOLATED = "VIOLATED"          # certified input, margin > 0 or NaN
+    UNCERTIFIED = "UNCERTIFIED"    # the input carries no disk-self-map certificate
+
+
 @dataclass(frozen=True)
 class EvaluationReport:
-    """Value, certified truncation error, and margin of one evaluation.
+    """Value, certified truncation error, margin and verdict of one evaluation.
 
-    ``margin`` is ``value + tail_error`` minus the comparison level (1 unless
-    the inputs record another), computed on the unsafe side; ``inputs`` keeps
-    provenance: functional kind, parameters, radius, input descriptor, and
-    whether the input's class certificate makes the verdict meaningful.
+    ``margin`` is ``value + tail_error - level``, computed on the unsafe side;
+    ``level`` is the comparison level, 1 unless the kind compares against
+    another (LEMMA_TAIL: the bound's right side).  The rest is provenance:
+    functional kind, parameters, radius, input descriptor, and whether the
+    input's class certificate makes the verdict meaningful.
     """
 
     value: float
     tail_error: float
     margin: float
-    inputs: Mapping[str, object]
+    kind: str
+    params: dict
+    r: float
+    function: str
+    certified: bool
+    level: float
+
+    @property
+    def status(self) -> Status:
+        if not self.certified:
+            return Status.UNCERTIFIED
+        # A NaN margin is no proof that the inequality holds.
+        return Status.HOLDS if self.margin <= 0.0 else Status.VIOLATED
+
+    def to_json(self) -> dict:
+        inputs = {"kind": self.kind, "params": self.params, "r": self.r,
+                  "function": self.function, "certified": self.certified}
+        if self.level != 1.0:
+            inputs["threshold"] = self.level
+        return {"value": self.value, "tail_error": self.tail_error,
+                "margin": self.margin, "inputs": inputs}
 
 
 class FunctionalTag(str, Enum):
@@ -202,40 +233,17 @@ def _check_radius(r: float, *, allow_zero: bool = False) -> float:
     return r
 
 
-def _certified(series: CoefficientSeries) -> bool:
-    return series.certificate is not Certificate.UNKNOWN
-
-
-def _describe(obj: CoefficientSeries | LacunarySeries) -> str:
-    if isinstance(obj, LacunarySeries):
-        return (
-            f"lacunary(m={obj.m}, p={obj.p}, T={obj.g.truncation_order}, "
-            f"cert={obj.g.certificate.value})"
-        )
-    return f"series(T={obj.truncation_order}, cert={obj.certificate.value})"
-
-
-def _report(
-    kind: str,
-    params: dict,
-    r: float,
-    value: float,
-    tail: float,
-    descriptor: str,
-    certified: bool,
-    threshold: float = 1.0,
-) -> EvaluationReport:
-    value, tail, threshold = float(value), float(tail), float(threshold)
-    inputs = {"kind": kind, "params": params, "r": r, "function": descriptor,
-              "certified": certified}
-    if threshold != 1.0:
-        inputs["threshold"] = threshold
-    return EvaluationReport(
-        value=value,
-        tail_error=tail,
-        margin=value + tail - threshold,
-        inputs=inputs,
-    )
+def _report(kind: str, params: dict, r: float, value: float, tail: float,
+            f: CoefficientSeries | LacunarySeries, level: float = 1.0) -> EvaluationReport:
+    """The report of one evaluation of ``f``, certified by its class certificate."""
+    if isinstance(f, LacunarySeries):
+        g, shape = f.g, f"lacunary(m={f.m}, p={f.p}, "
+    else:
+        g, shape = f, "series("
+    function = f"{shape}T={g.truncation_order}, cert={g.certificate.value})"
+    value, tail, level = float(value), float(tail), float(level)
+    return EvaluationReport(value, tail, value + tail - level, kind, params, r, function,
+                            g.certificate is not Certificate.UNKNOWN, level)
 
 
 #: Below 2**-1100 a power is 0.0 in double (the least subnormal is 2**-1074).
@@ -376,7 +384,7 @@ def eval_lacunary_sum(f: LacunarySeries, r: float) -> EvaluationReport:
         raise ValueError("the lacunary sum requires 0 <= m <= p")
     r = _check_radius(r)
     value, tail = _lacunary_terms(g.moduli_array, g.coefficient_bound, p, m, r)
-    return _report("A_PM", {"p": p, "m": m}, r, value, tail, _describe(f), _certified(g))
+    return _report("A_PM", {"p": p, "m": m}, r, value, tail, f)
 
 
 def eval_gap_sum(
@@ -413,7 +421,7 @@ def eval_gap_sum(
     params: dict[str, object] = {"n": n, "m": m}
     if squared_shift:
         params["squared_shift"] = squared_shift
-    return _report("D_NM", params, r, value, tail, _describe(f), _certified(f))
+    return _report("D_NM", params, r, value, tail, f)
 
 
 def zero_schwarz_slice() -> CoefficientSeries:
@@ -491,7 +499,7 @@ def _rogosinski_core(
     r = _check_radius(r)
     head, head_err = _composed_center(f, w, p_exp, r)
     value, tail = _rogosinski_terms(f.moduli_array, f.coefficient_bound, n, r, head, head_err)
-    return _report(kind, params, r, value, tail, _describe(f), _certified(f))
+    return _report(kind, params, r, value, tail, f)
 
 
 def eval_rogosinski(
@@ -613,7 +621,7 @@ def eval_improved_bohr(
     r = _check_radius(r, allow_zero=True)
     value, tail = _improved_terms(f.moduli_array, f.coefficient_bound, d, r)
     params = {"d": list(float(x) for x in d)}
-    return _report("I_M", params, r, value, tail, _describe(f), _certified(f))
+    return _report("I_M", params, r, value, tail, f)
 
 
 def lemma_tail_bound_check(f: CoefficientSeries, n: int, r: float) -> float:
@@ -633,15 +641,6 @@ def lemma_tail_bound_check(f: CoefficientSeries, n: int, r: float) -> float:
     r = _check_radius(r, allow_zero=True)
     lhs, rhs = _lemma_sides(f.moduli_array, f.coefficient_bound, n, r)
     return rhs - lhs
-
-
-def report_to_json(report: EvaluationReport) -> dict:
-    return {
-        "value": report.value,
-        "tail_error": report.tail_error,
-        "margin": report.margin,
-        "inputs": dict(report.inputs),
-    }
 
 
 @dataclass(frozen=True)
@@ -690,8 +689,7 @@ def _rogosinski_rows(kind, coeffs, mods, bound, r):
 def _lemma_report(kind, f: CoefficientSeries, r: float) -> EvaluationReport:
     slack = lemma_tail_bound_check(f, kind.n, r)
     rhs = _lemma_rhs(abs(f.coeffs[0]), kind.n, r)
-    return _report("LEMMA_TAIL", {"n": kind.n}, r, rhs - slack, 0.0, _describe(f),
-                   _certified(f), threshold=rhs)
+    return _report("LEMMA_TAIL", {"n": kind.n}, r, rhs - slack, 0.0, f, level=rhs)
 
 
 def _lemma_rows(mods, bound, n: int, r: float):

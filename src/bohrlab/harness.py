@@ -55,10 +55,10 @@ from .functionals import (
     EvaluationReport,
     FunctionalKind,
     NotSharpError,
+    Status,
     zero_schwarz_slice,
 )
 from .series import (
-    Certificate,
     CoefficientSeries,
     LacunarySeries,
     default_truncation,
@@ -174,43 +174,31 @@ def evaluate_kind(
     return spec.evaluate(kind, f, r)
 
 
-def _input_certificate(f: CoefficientSeries | LacunarySeries) -> Certificate:
-    return f.g.certificate if isinstance(f, LacunarySeries) else f.certificate
-
-
 def empirical_radius(
     kind: FunctionalKind, f: CoefficientSeries | LacunarySeries
 ) -> float:
-    """Smallest r in (0, 0.99] with positive margin, or the NO_CROSSING sentinel.
+    """Smallest r in (0, 0.99] with a VIOLATED report, or the NO_CROSSING sentinel.
 
     Scans with step 1e-3 and bisects the first crossing down to width 1e-9.
     The input must carry a certificate; margins of uncertified functions say
     nothing about the inequalities.
     """
-    if _input_certificate(f) is Certificate.UNKNOWN:
+    first = evaluate_kind(kind, f, _SCAN_STEP).status
+    if first is Status.UNCERTIFIED:
         raise ValueError("empirical radii require a certified disk self-map")
+    if first is Status.VIOLATED:
+        return _SCAN_STEP
 
-    def margin(r: float) -> float:
-        return evaluate_kind(kind, f, r).margin
+    def crosses(r: float) -> bool:
+        return evaluate_kind(kind, f, r).status is Status.VIOLATED
 
-    steps = round(NO_CROSSING / _SCAN_STEP)
-    prev = _SCAN_STEP
-    prev_margin = margin(prev)
-    if prev_margin > 0.0:
-        return prev
-    for k in range(2, steps + 1):
-        r = k * _SCAN_STEP
-        cur = margin(r)
-        if cur > 0.0:
-            lo, hi = prev, r
+    for k in range(2, round(NO_CROSSING / _SCAN_STEP) + 1):
+        lo, hi = (k - 1) * _SCAN_STEP, k * _SCAN_STEP
+        if crosses(hi):
             while hi - lo > 1e-9:
                 mid = 0.5 * (lo + hi)
-                if margin(mid) > 0.0:
-                    hi = mid
-                else:
-                    lo = mid
+                lo, hi = (lo, mid) if crosses(mid) else (mid, hi)
             return 0.5 * (lo + hi)
-        prev, prev_margin = r, cur
     return NO_CROSSING
 
 
@@ -266,8 +254,12 @@ def sharpness_witness(kind: FunctionalKind, r: float | None = None) -> WitnessRe
 
     if family is not None:
         a = _family_parameter(kind.m, family, radius, r)
-        fam = LacunarySeries(kind.m, family, mobius_minus_series(a, T))
-        return _witness(kind, r, a, evaluate_kind(kind, fam, r))
+        witness = _witness(kind, r, a, LacunarySeries(kind.m, family, mobius_minus_series(a, T)))
+        if not witness.exceeds_one:
+            raise WitnessNotFoundError(
+                f"the construction for {kind.label()} reached only {witness.value!r} at r={r!r}"
+            )
+        return witness
 
     # Limit-argument kinds: ascend a = 1 - 2^-k until the value clears 1.
     for k in itertools.count(1):
@@ -276,25 +268,18 @@ def sharpness_witness(kind: FunctionalKind, r: float | None = None) -> WitnessRe
             raise WitnessNotFoundError(
                 f"no witness for {kind.label()} at r={r!r} below the parameter cap"
             )
-        rep = evaluate_kind(kind, mobius_series(a, T), r)
-        if rep.value > 1.0 + _EXCEED_BY:
-            return _witness(kind, r, a, rep)
+        witness = _witness(kind, r, a, mobius_series(a, T))
+        if witness.exceeds_one:
+            return witness
 
 
-def _witness(kind: FunctionalKind, r: float, a: float, rep: EvaluationReport) -> WitnessReport:
+def _witness(
+    kind: FunctionalKind, r: float, a: float, f: CoefficientSeries | LacunarySeries
+) -> WitnessReport:
+    """The witness report of ``f``, the family member at parameter ``a``, at ``r``."""
+    rep = evaluate_kind(kind, f, r)
     exceeds = bool(rep.value > 1.0 + _EXCEED_BY)
-    if not exceeds:
-        raise WitnessNotFoundError(
-            f"the construction for {kind.label()} reached only {rep.value!r} at r={r!r}"
-        )
-    return WitnessReport(
-        kind=kind,
-        r=r,
-        witness_param=float(a),
-        value=rep.value,
-        tail_error=rep.tail_error,
-        exceeds_one=exceeds,
-    )
+    return WitnessReport(kind, r, float(a), rep.value, rep.tail_error, exceeds)
 
 
 def random_campaign(

@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import io
 import json
+import math
 import sys
 import warnings
 
@@ -205,6 +207,33 @@ class TestVerifyCommand:
         rc = main(["verify", "--file", path, "--kind", "D_NM", "--n", "1",
                    "--m", "0", "--r", "0.3"])
         assert rc == EXIT_VIOLATION
+
+    @pytest.mark.parametrize("certified, margin, status", [
+        (True, -0.25, EXIT_OK),
+        (True, 0.0, EXIT_OK),
+        (True, 0.25, EXIT_VIOLATION),
+        (True, math.nan, EXIT_VIOLATION),
+        (False, -0.25, EXIT_UNCERTIFIED),
+        (False, math.nan, EXIT_UNCERTIFIED),
+    ])
+    def test_verdict_exit_status(self, tmp_path, capsys, monkeypatch, certified, margin, status):
+        import bohrlab.cli as cli
+        from bohrlab.functionals import Status
+
+        assert cli.STATUS_EXIT == {Status.HOLDS: EXIT_OK, Status.VIOLATED: EXIT_VIOLATION,
+                                   Status.UNCERTIFIED: EXIT_UNCERTIFIED}
+        real = cli.evaluate_kind
+        monkeypatch.setattr(
+            cli, "evaluate_kind",
+            lambda *a: dataclasses.replace(real(*a), certified=certified, margin=margin),
+        )
+        path = _write_mobius(tmp_path)
+        for fmt in ("json", "csv"):
+            rc = main(["verify", "--file", path, "--kind", "D_NM", "--n", "1",
+                       "--m", "0", "--r", "0.3", "--format", fmt])
+            assert rc == status
+            warned = "no disk-self-map certificate" in capsys.readouterr().err
+            assert warned == (status == EXIT_UNCERTIFIED)
 
     def test_exit_statuses_pairwise_distinct(self):
         assert len({EXIT_OK, EXIT_VIOLATION, EXIT_USAGE, EXIT_PARSE, EXIT_UNCERTIFIED}) == 5
@@ -573,6 +602,80 @@ class TestParserReuse:
         for argv in (["verify", "--file", path, "--kind", "D_NM"], verify):
             runs = [(main(argv), capsys.readouterr()) for _ in range(2)]
             assert runs[0] == runs[1]
+
+
+def _same_value(text, value):
+    """Whether a CSV cell and a strict-JSON value hold the same datum."""
+    if value is None:  # JSON's spelling of a non-finite float
+        return not math.isfinite(float(text))
+    if isinstance(value, bool):
+        return text == str(value)
+    if isinstance(value, (int, float)):
+        return float(text) == value
+    return text == value
+
+
+class TestFormatsAgree:
+    """Each subcommand prints the same fields and values as CSV and as strict JSON."""
+
+    @staticmethod
+    def _both(argv, capsys):
+        texts, statuses = {}, set()
+        for fmt in ("csv", "json"):
+            statuses.add(main(argv + ["--format", fmt]))
+            texts[fmt] = capsys.readouterr().out
+        assert len(statuses) == 1
+        rows = _rows(texts["csv"])
+        return rows[0], rows[1:], json.loads(texts["json"], parse_constant=_reject_constant)
+
+    @pytest.mark.parametrize("argv", [
+        ["radii", "--p-max", "2", "--m-max", "2", "--n-max", "3"],
+        ["sweep", "--kind", "D_NM", "--n", "1", "--m", "0", "--grid", "0:0.9:4"],
+        ["sweep", "--kind", "D_NM", "--n", "1", "--m", "0", "--grid", "nan:0.5:3"],
+        ["sweep", "--kind", "LEMMA_TAIL", "--n", "2", "--grid", "0.1:0.9:5"],
+    ])
+    def test_tables(self, tmp_path, capsys, argv):
+        if argv[0] == "sweep":
+            argv = argv[:1] + ["--file", _write_mobius(tmp_path)] + argv[1:]
+        header, rows, data = self._both(argv, capsys)
+        assert rows and len(rows) == len(data)
+        for row, item in zip(rows, data):
+            assert sorted(item) == sorted(header)
+            assert all(_same_value(cell, item[key]) for key, cell in zip(header, row))
+
+    @pytest.mark.parametrize("kind", [
+        ["--kind", "D_NM", "--n", "1", "--m", "0", "--r", "0.3"],
+        ["--kind", "D_NM", "--n", "1", "--m", "0", "--r", "0.8"],
+        ["--kind", "LEMMA_TAIL", "--n", "2", "--r", "0.5"],
+        ["--kind", "I_M", "--d", "0.5,0.1", "--r", "0.3"],
+        ["--kind", "G_MPN", "--m", "1", "--p-exp", "2", "--n", "1", "--r", "0.3"],
+    ])
+    def test_verify(self, tmp_path, capsys, kind):
+        argv = ["verify", "--file", _write_mobius(tmp_path), *kind]
+        header, rows, data = self._both(argv, capsys)
+        assert header == ["kind", "params", "r", "value", "tail_error", "margin"]
+        (row,) = rows
+        cells = dict(zip(header, row))
+        inputs = data["inputs"]
+        assert cells["kind"] == inputs["kind"]
+        assert set(cells["params"].split(";")) == {f"{k}={v}" for k, v in inputs["params"].items()}
+        assert _same_value(cells["r"], inputs["r"])
+        for key in ("value", "tail_error", "margin"):
+            assert _same_value(cells[key], data[key])
+
+    @pytest.mark.parametrize("kind", [
+        ["--kind", "A_PM", "--p", "2", "--m", "1"],
+        ["--kind", "I_M", "--d", "0.8888888888888888"],
+    ])
+    def test_sharpness(self, capsys, kind):
+        header, rows, data = self._both(["sharpness", *kind], capsys)
+        (row,) = rows
+        assert sorted(data) == sorted(header)
+        for key, cell in zip(header, row):
+            if key == "kind":  # the tag in CSV, the full label in JSON
+                assert data[key].startswith(cell + "(")
+            else:
+                assert _same_value(cell, data[key])
 
 
 class TestSelftestCommand:

@@ -186,7 +186,8 @@ _SOUP = st.lists(
     max_size=12,
 ).map(b"".join)
 
-_SETTINGS = hypothesis.settings(max_examples=300, deadline=None)
+_SETTINGS = hypothesis.settings(max_examples=300, deadline=None, database=None,
+                                derandomize=True)
 
 
 class TestDifferential:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -7,6 +8,8 @@ import pytest
 from bohrlab.functionals import (
     ConstraintViolation,
     FunctionalKind,
+    FunctionalTag,
+    Status,
     SupportError,
     _composed_center,
     _default_schwarz_slice,
@@ -35,6 +38,18 @@ from bohrlab.series import (
     mobius_series,
     schur_from_parameters,
 )
+
+
+#: (certified, margin, status): a verdict holds only for a certified input
+#: with margin <= 0; a NaN margin fails closed.
+STATUS_TABLE = [
+    (True, -0.25, Status.HOLDS),
+    (True, 0.0, Status.HOLDS),
+    (True, 0.25, Status.VIOLATED),
+    (True, math.nan, Status.VIOLATED),
+    (False, -0.25, Status.UNCERTIFIED),
+    (False, math.nan, Status.UNCERTIFIED),
+]
 
 
 def _random_schur(seed, params=8, order=120, spread=0.95):
@@ -473,12 +488,45 @@ class TestReportContract:
     def test_margin_definition(self):
         rep = eval_gap_sum(mobius_series(0.5, 80), 0, 1, 0.3)
         assert rep.margin == pytest.approx(rep.value + rep.tail_error - 1.0, abs=1e-18)
-        assert rep.inputs["certified"] is True
+        assert rep.certified is True
 
     def test_uncertified_flagged(self):
         s = CoefficientSeries((0.5 + 0j, 0.2 + 0j), 0.3, Certificate.UNKNOWN)
         rep = eval_gap_sum(s, 0, 1, 0.3)
-        assert rep.inputs["certified"] is False
+        assert rep.certified is False
+
+    @pytest.mark.parametrize("certified, margin, status", STATUS_TABLE)
+    def test_status_truth_table(self, certified, margin, status):
+        rep = eval_gap_sum(mobius_series(0.5, 80), 0, 1, 0.3)
+        rep = dataclasses.replace(rep, certified=certified, margin=margin)
+        assert rep.status is status
+
+    def test_evaluated_statuses(self):
+        f = mobius_series(0.5, 80)
+        assert eval_gap_sum(f, 0, 1, 0.3).status is Status.HOLDS
+        assert eval_gap_sum(f, 0, 1, 0.8).status is Status.VIOLATED
+        s = CoefficientSeries((0.5 + 0j, 0.2 + 0j), 0.3, Certificate.UNKNOWN)
+        assert eval_gap_sum(s, 0, 1, 0.8).status is Status.UNCERTIFIED
+
+    def test_json_threshold_for_lemma_tail_only(self):
+        f = mobius_series(0.4, 150)
+        kinds = [FunctionalKind.lacunary(1, 0), FunctionalKind.gap(1, 0),
+                 FunctionalKind.rogosinski(1, 1.0, 1), FunctionalKind.rogosinski_center(1.0, 2),
+                 FunctionalKind.improved((0.5,)), FunctionalKind.tail_lemma(2)]
+        assert {kind.tag for kind in kinds} == set(FunctionalTag)
+        for kind in kinds:
+            g = LacunarySeries(0, 1, f) if kind.spec.lacunary else f
+            rep = kind.spec.evaluate(kind, g, 0.3)
+            data = rep.to_json()
+            assert set(data) == {"value", "tail_error", "margin", "inputs"}
+            assert (data["value"], data["tail_error"], data["margin"]) == (
+                rep.value, rep.tail_error, rep.margin)
+            lemma = kind.tag is FunctionalTag.LEMMA_TAIL
+            assert set(data["inputs"]) == {"kind", "params", "r", "function", "certified"} | (
+                {"threshold"} if lemma else set())
+            assert data["inputs"]["kind"] == kind.tag.value
+            if lemma:
+                assert data["inputs"]["threshold"] == rep.level
 
 
 class TestPowers:
