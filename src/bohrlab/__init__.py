@@ -22,7 +22,6 @@ from .functionals import (
     eval_rogosinski,
     eval_rogosinski_center,
     lemma_tail_bound_check,
-    monomial_schwarz_slice,
     s_star,
     zero_schwarz_slice,
 )

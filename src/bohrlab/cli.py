@@ -364,7 +364,7 @@ def _run_sharpness(args) -> int:
     except (ValueError, RuntimeError) as exc:
         print(f"sharpness failure: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    row = [kind.tag.value, witness.r, witness.witness_param, witness.value,
+    row = [kind.label(), witness.r, witness.witness_param, witness.value,
            witness.tail_error, witness.exceeds_one]
     _write(args, ["kind", "r", "witness_param", "value", "tail_error", "exceeds_one"],
            [row], witness.to_json())
@@ -397,12 +397,23 @@ def _run_selftest(args) -> int:
 # ------------------------------------------------------------------ misc ----
 
 
+def _finite(x):
+    """``x`` with every non-finite float in it, at any depth, replaced by None."""
+    if isinstance(x, float):
+        return x if math.isfinite(x) else None
+    if isinstance(x, dict):
+        return {k: _finite(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_finite(v) for v in x]
+    return x
+
+
 def _write(args, header: list[str], rows: list[list], payload=None) -> None:
     """Print ``rows`` under ``header`` to ``args.out`` (stdout if None) in ``args.format``.
 
     CSV writes floats with 17 significant digits.  JSON writes ``payload`` if
-    one is given, and otherwise one object per row with a non-finite float as
-    null (JSON has no NaN or infinity).
+    one is given, and otherwise one object per row; either way a non-finite
+    float is written as null (JSON has no NaN or infinity).
     """
     if args.format == "csv":
         buf = io.StringIO()
@@ -411,9 +422,8 @@ def _write(args, header: list[str], rows: list[list], payload=None) -> None:
         text = buf.getvalue()
     else:
         if payload is None:
-            payload = [{k: None if isinstance(x, float) and not math.isfinite(x) else x
-                        for k, x in zip(header, row)} for row in rows]
-        text = json.dumps(payload, sort_keys=True) + "\n"
+            payload = [dict(zip(header, row)) for row in rows]
+        text = json.dumps(_finite(payload), sort_keys=True, allow_nan=False) + "\n"
     if args.out is None:
         sys.stdout.write(text)
     else:

@@ -13,7 +13,9 @@ of shape ``(T+1, ...)`` with a coefficient bound per function (a float or an
 array): it indexes the degree axis first and returns ``(value, tail)``.  The
 public evaluators check their inputs and pass one 1-D series; randomized
 campaigns pass a (T+1, trials) batch, one column per trial, through the same
-helpers.
+helpers, so a scalar report equals its kind's batch formula on one column.
+The composed center of G_MPN is the only formula that reads the complex
+coefficients: |f(w(r))|^p at w = lam^m, the sharp case of Schwarz's lemma.
 
 Every power table ``x ** exponents`` goes through one helper,
 :func:`_powers`, which stops calling ``pow`` where the powers underflow to
@@ -31,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -45,7 +47,6 @@ from .series import (
     RadiusError,
     TailWeight,
     lacunary_expand,
-    tail_bound,
     weighted_tail,
 )
 
@@ -70,7 +71,6 @@ __all__ = [
     "lemma_tail_bound_check",
     "s_star",
     "zero_schwarz_slice",
-    "monomial_schwarz_slice",
 ]
 
 _SUPPORT_TOL = 1e-12
@@ -333,6 +333,20 @@ def _center_power(x, df, p_exp: float):
     return head, (x + df) ** p_exp - head
 
 
+def _composed_center(coeffs, bound, m: int, p_exp: float, r: float):
+    """|f(r^m)|^p and its certified increment: the center at w = lam^m.
+
+    f(r^m) is summed on the real and imaginary planes, like every other sum
+    here: a complex zgemv rounds a trial differently in blocks of different
+    widths.  The LINEAR tail at r^m bounds the dropped terms.
+    """
+    T = coeffs.shape[0] - 1
+    rho = r**m
+    powers = _powers(rho, np.arange(T + 1, dtype=float))
+    x = np.hypot(powers @ coeffs.real, powers @ coeffs.imag)
+    return _center_power(x, weighted_tail(bound, rho, T, TailWeight.LINEAR), p_exp)
+
+
 def _energy(mods, bound, r: float):
     """Weighted coefficient energy ``sum_s s |P_s|^2`` and its S_STAR tail."""
     T = mods.shape[0] - 1
@@ -432,83 +446,15 @@ def zero_schwarz_slice() -> CoefficientSeries:
 _ZERO_SLICE = CoefficientSeries((0j,), 0.0, Certificate.SCHUR_EXACT)
 
 
-def monomial_schwarz_slice(order: int, phase: complex = 1.0 + 0j) -> CoefficientSeries:
-    """``lam -> phase * lam^order`` with |phase| = 1; the proof's slice choice."""
-    if order < 1:
-        raise ValueError("a Schwarz slice vanishes at 0, so order >= 1")
-    if abs(abs(phase) - 1.0) > 1e-12:
-        raise ValueError("phase must be unimodular")
-    coeffs = (0j,) * order + (complex(phase),)
-    return CoefficientSeries(coeffs, 0.0, Certificate.SCHUR_EXACT)
-
-
-@lru_cache(maxsize=64)
-def _default_schwarz_slice(order: int) -> CoefficientSeries:
-    """``lam -> lam^order``, built once per order and shared (series are immutable)."""
-    return monomial_schwarz_slice(order)
-
-
-def _check_schwarz_slice(w: CoefficientSeries, order: int) -> None:
-    if w.certificate is Certificate.UNKNOWN:
-        raise ValueError("the inner map must carry a disk-self-map certificate")
-    for s in range(min(order, w.truncation_order + 1)):
-        if abs(w.coeffs[s]) > _SUPPORT_TOL:
-            raise ValueError(
-                f"inner map has a nonzero coefficient at index {s} < order {order}"
-            )
-    # Coefficients beyond the stored ones must also vanish below the order.
-    if w.truncation_order + 1 < order and w.coefficient_bound > 0.0:
-        raise ValueError("inner map truncation too short to certify its vanishing order")
-
-
-def _composed_center(
-    f: CoefficientSeries, w: CoefficientSeries, p_exp: float, r: float
-) -> tuple[float, float]:
-    """|f(w(r))|^p_exp with a certified upper increment.
-
-    w(r) is a partial sum with LINEAR tail; the error transports through f
-    with the growth bound |f'| <= 1/(1 - rho)^2 on |lam| <= rho < 1, and the
-    exponent is applied monotonically, so (x + err)^p - x^p certifies it.
-    """
-    zeta = w(r)
-    dw = tail_bound(w, r, TailWeight.LINEAR)
-    zmag = abs(zeta)
-    if zmag >= 1.0:
-        raise RadiusError("inner map escaped the disk; certificate violated")
-    # At zeta = 0 (H_PN) |f(0)| = |c_0| comes from the moduli, as on the
-    # batch path; Python's abs may differ from np.abs in the last bit.
-    x = float(f.moduli_array[0]) if zeta == 0 else abs(f(zeta))
-    df = tail_bound(f, zmag, TailWeight.LINEAR)
-    if dw > 0.0:
-        df += dw / (1.0 - min(zmag + dw, MAX_EVAL_RADIUS)) ** 2
-    return _center_power(x, df, p_exp)
-
-
-def _rogosinski_core(
-    f: CoefficientSeries,
-    p_exp: float,
-    n: int,
-    r: float,
-    w: CoefficientSeries,
-    kind: str,
-    params: dict,
-) -> EvaluationReport:
+def _check_rogosinski(p_exp: float, n: int, r: float) -> float:
     _check_p_exp(p_exp)
     if n < 1:
         raise ValueError("N must be >= 1")
-    r = _check_radius(r)
-    head, head_err = _composed_center(f, w, p_exp, r)
-    value, tail = _rogosinski_terms(f.moduli_array, f.coefficient_bound, n, r, head, head_err)
-    return _report(kind, params, r, value, tail, f)
+    return _check_radius(r)
 
 
 def eval_rogosinski(
-    f: CoefficientSeries,
-    schwarz_order: int,
-    p_exp: float,
-    n: int,
-    r: float,
-    w: CoefficientSeries | None = None,
+    f: CoefficientSeries, schwarz_order: int, p_exp: float, n: int, r: float
 ) -> EvaluationReport:
     """Composed center term plus tail sums, with t = floor((N-1)/2):
 
@@ -516,25 +462,27 @@ def eval_rogosinski(
           + sgn(t) sum_{s=1..t} |P_s|^2 r^(N-2s)/(1-r)
           + (1/(1+|f(0)|) + r/(1-r)) sum_{s>t} |P_s|^2
 
-    ``w`` is a certified slice of an order-``schwarz_order`` Schwarz mapping
-    (so |w(lam)| <= |lam|^order); the default is the monomial lam^order.
+    with w = lam^schwarz_order, the sharp case of Schwarz's lemma
+    |w(lam)| <= |lam|^order for an order-``schwarz_order`` Schwarz map.
     """
     if schwarz_order < 1:
         raise ValueError("the Schwarz order must be >= 1")
-    if w is None:
-        w = _default_schwarz_slice(schwarz_order)
-    else:
-        _check_schwarz_slice(w, schwarz_order)
-    params = {"m": schwarz_order, "p_exp": p_exp, "n": n}
-    return _rogosinski_core(f, p_exp, n, r, w, "G_MPN", params)
+    r = _check_rogosinski(p_exp, n, r)
+    bound = f.coefficient_bound
+    center = _composed_center(f.coeffs_array, bound, schwarz_order, p_exp, r)
+    value, tail = _rogosinski_terms(f.moduli_array, bound, n, r, *center)
+    return _report("G_MPN", {"m": schwarz_order, "p_exp": p_exp, "n": n}, r, value, tail, f)
 
 
 def eval_rogosinski_center(
     f: CoefficientSeries, p_exp: float, n: int, r: float
 ) -> EvaluationReport:
     """The order-infinity limit: the composed center collapses to |f(0)|^p."""
-    params = {"p_exp": p_exp, "n": n}
-    return _rogosinski_core(f, p_exp, n, r, zero_schwarz_slice(), "H_PN", params)
+    r = _check_rogosinski(p_exp, n, r)
+    mods = f.moduli_array
+    center = _center_power(mods[0], 0.0, p_exp)
+    value, tail = _rogosinski_terms(mods, f.coefficient_bound, n, r, *center)
+    return _report("H_PN", {"p_exp": p_exp, "n": n}, r, value, tail, f)
 
 
 def s_star(f: CoefficientSeries, r: float) -> float:
@@ -544,40 +492,17 @@ def s_star(f: CoefficientSeries, r: float) -> float:
     return float(head + tail)
 
 
-@lru_cache(maxsize=None)
 def c_constant(s: int) -> float:
-    """max over a in [0, 1] of ``a (1+a)^2 (1-a^2)^(2s-2)``.
+    """max over a in [0, 1] of ``a (1+a)^2 (1-a^2)^(2s-2)``, in closed form.
 
-    Located by a 10^4-point grid followed by golden-section refinement of the
-    bracketing interval to width 1e-12.  s = 1 is admitted as the endpoint
-    case (maximum 4 at a = 1), which cross-checks the fixed first weight of
-    the constraint.
+    The log-derivative vanishes where (4s-1) a^2 - 2a - 1 = 0, at
+    a* = 1/(2 sqrt(s) - 1).  s = 1 is admitted as the endpoint case (maximum
+    4 at a* = 1), which cross-checks the fixed first weight of the constraint.
     """
     if s < 1:
         raise ValueError("s must be >= 1")
-
-    def fn(a: float) -> float:
-        return a * (1.0 + a) ** 2 * (1.0 - a * a) ** (2 * s - 2)
-
-    grid = np.linspace(0.0, 1.0, 10_000)
-    vals = grid * (1.0 + grid) ** 2 * (1.0 - grid * grid) ** (2 * s - 2)
-    i = int(np.argmax(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid.size - 1)]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = fn(x1), fn(x2)
-    while hi - lo > 1e-12:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = fn(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = fn(x1)
-    return float(max(f1, f2, fn(lo), fn(hi)))
+    a = 1.0 / (2.0 * math.sqrt(s) - 1.0)
+    return a * (1.0 + a) ** 2 * (1.0 - a * a) ** (2 * s - 2)
 
 
 @dataclass(frozen=True)
@@ -674,21 +599,9 @@ def _equation_kind(params, equation, **facts) -> KindSpec:
     return KindSpec(params, equation, radius=lambda k: maximal_root(equation(k)), **facts)
 
 
-def _rogosinski_rows(kind, coeffs, mods, bound, r):
-    T = mods.shape[0] - 1
-    rho = r**kind.m  # the monomial Schwarz slice maps r to r^m
-    # f(rho) on the real and imaginary planes, like every other sum here: a
-    # complex zgemv rounds a trial differently in blocks of different widths.
-    powers = _powers(rho, np.arange(T + 1, dtype=float))
-    x = np.hypot(powers @ coeffs.real, powers @ coeffs.imag)
-    df = weighted_tail(bound, rho, T, TailWeight.LINEAR)
-    head, head_err = _center_power(x, df, kind.p_exp)
-    return _rogosinski_terms(mods, bound, kind.n, r, head, head_err)
-
-
 def _lemma_report(kind, f: CoefficientSeries, r: float) -> EvaluationReport:
     slack = lemma_tail_bound_check(f, kind.n, r)
-    rhs = _lemma_rhs(abs(f.coeffs[0]), kind.n, r)
+    rhs = _lemma_rhs(f.moduli_array[0], kind.n, r)
     return _report("LEMMA_TAIL", {"n": kind.n}, r, rhs - slack, 0.0, f, level=rhs)
 
 
@@ -729,7 +642,8 @@ KINDS: dict[FunctionalTag, KindSpec] = {
         ("m", "p_exp", "n"),
         lambda k: RadiusEquation.rogosinski(k.n, k.p_exp, k.m),
         evaluate=lambda k, f, r: eval_rogosinski(f, k.m, k.p_exp, k.n, r),
-        batch=_rogosinski_rows,
+        batch=lambda k, c, mods, b, r: _rogosinski_terms(
+            mods, b, k.n, r, *_composed_center(c, b, k.m, k.p_exp, r)),
     ),
     FunctionalTag.H_PN: _equation_kind(
         ("p_exp", "n"),

@@ -11,8 +11,6 @@ from bohrlab.functionals import (
     FunctionalTag,
     Status,
     SupportError,
-    _composed_center,
-    _default_schwarz_slice,
     _powers,
     c_constant,
     constraint_check,
@@ -22,9 +20,7 @@ from bohrlab.functionals import (
     eval_rogosinski,
     eval_rogosinski_center,
     lemma_tail_bound_check,
-    monomial_schwarz_slice,
     s_star,
-    zero_schwarz_slice,
 )
 from bohrlab.radii import RadiusEquation, maximal_root, unique_root
 from bohrlab.series import (
@@ -222,43 +218,25 @@ class TestRogosinski:
             0.5**p_exp, abs=1e-12
         )
 
-    def test_default_slice_built_once(self, monkeypatch):
+    def test_center_is_constant_modulus_power(self, monkeypatch):
+        # |f(0)| comes from np.abs, as on the batch path, not from Python's abs
         import bohrlab.functionals as functionals
 
-        f = mobius_series(0.5, 300)
-        want = [eval_rogosinski(f, m, 1.5, 2, 0.45, w=monomial_schwarz_slice(m))
-                for m in (1, 2, 3)]
-        built = []
+        real = functionals._center_power
+        centers = []
 
-        def counting(order, *args):
-            built.append(order)
-            return monomial_schwarz_slice(order, *args)
+        def recording(*args):
+            centers.append(real(*args))
+            return centers[-1]
 
-        monkeypatch.setattr(functionals, "monomial_schwarz_slice", counting)
-        _default_schwarz_slice.cache_clear()
-        for _ in range(3):
-            got = [eval_rogosinski(f, m, 1.5, 2, 0.45) for m in (1, 2, 3)]
-            assert got == want
-        assert built == [1, 2, 3]
-        assert _default_schwarz_slice(2) is _default_schwarz_slice(2)
-        assert _default_schwarz_slice(2) == monomial_schwarz_slice(2)
-
-    def test_center_is_constant_modulus_power(self):
-        # |f(0)| comes from np.abs, as on the batch path, not from Python's abs
+        monkeypatch.setattr(functionals, "_center_power", recording)
         for seed in range(40):
             f = _random_schur(seed)
-            for p_exp in (0.5, 1.0, 2.0, 3.7):
-                head, head_err = _composed_center(f, zero_schwarz_slice(), p_exp, 0.3)
+            for p_exp in (0.5, 1.0, 1.7, 2.0):  # the evaluator admits (0, 2]
+                eval_rogosinski_center(f, p_exp, 2, 0.3)
+                head, head_err = centers.pop()
                 assert head == f.moduli_array[0] ** p_exp
                 assert head_err == 0.0
-
-    def test_center_kind_equals_zero_inner_map(self):
-        f = _random_schur(11)
-        for p_exp, n, r in ((1.0, 1, 0.3), (2.0, 3, 0.5), (0.7, 4, 0.6)):
-            a = eval_rogosinski(f, 3, p_exp, n, r, w=zero_schwarz_slice())
-            b = eval_rogosinski_center(f, p_exp, n, r)
-            assert a.value == b.value
-            assert a.tail_error == b.tail_error
 
     def test_middle_sum_absent_for_n1(self):
         # N = 1 gives t = 0: value reduces to center + refined sum pieces
@@ -310,31 +288,6 @@ class TestRogosinski:
             rep = eval_rogosinski_center(f, p_exp, 1, 0.4)
             assert rep.value == pytest.approx(0.6**p_exp, abs=1e-15)
 
-    def test_rejects_uncertified_inner_map(self):
-        f = mobius_series(0.5, 50)
-        bad = CoefficientSeries((0j, 0j, 0.5 + 0j), 0.1, Certificate.UNKNOWN)
-        with pytest.raises(ValueError):
-            eval_rogosinski(f, 2, 1.0, 1, 0.4, w=bad)
-
-    def test_rejects_order_violation(self):
-        f = mobius_series(0.5, 50)
-        w = monomial_schwarz_slice(1)
-        with pytest.raises(ValueError):
-            eval_rogosinski(f, 2, 1.0, 1, 0.4, w=w)  # order 1 < required 2
-
-    def test_transport_error_certified(self):
-        # a rational inner map evaluated at two truncations: the short report's
-        # tail certificate must cover the long (near-exact) value
-        f = mobius_series(0.7, 600)
-        m, p_exp, n, r = 1, 2.0, 2, 0.6
-        w_short = lacunary_expand(m, 1, mobius_minus_series(0.5, 25))
-        w_long = lacunary_expand(m, 1, mobius_minus_series(0.5, 2000))
-        short = eval_rogosinski(f, m, p_exp, n, r, w=w_short)
-        long = eval_rogosinski(f, m, p_exp, n, r, w=w_long)
-        assert long.value <= short.value + short.tail_error
-        assert abs(long.value - short.value) <= short.tail_error
-
-
 class TestSStar:
     def test_pure_rotation(self):
         f = CoefficientSeries((0j, 1.0 + 0j), 0.0, Certificate.SCHUR_EXACT)
@@ -372,6 +325,13 @@ class TestConstants:
             best = float(np.max(fn(grid)))
             assert val >= best - 1e-12
             assert val <= best + 1e-6
+
+    def test_closed_form_is_the_maximum(self):
+        # a* = 1/(2 sqrt(s) - 1) beats every grid point
+        grid = np.linspace(0.0, 1.0, 20001)
+        for s in range(1, 65):
+            best = float(np.max(grid * (1 + grid) ** 2 * (1 - grid * grid) ** (2 * s - 2)))
+            assert c_constant(s) >= best
 
     def test_strictly_decreasing(self):
         vals = [c_constant(s) for s in range(2, 9)]

@@ -11,7 +11,12 @@ from bohrlab.cli import _kind_from_args, build_parser
 from bohrlab.functionals import KINDS, FunctionalKind, FunctionalTag
 from bohrlab.harness import campaign_function, evaluate_kind, random_campaign
 from bohrlab.radii import RadiusEquation
-from bohrlab.series import CoefficientSeries, LacunarySeries, RadiusError
+from bohrlab.series import (
+    CoefficientSeries,
+    LacunarySeries,
+    RadiusError,
+    schur_from_parameters,
+)
 
 # One kind per tag, every parameter away from its default.
 SAMPLES = {
@@ -152,3 +157,23 @@ def test_campaigns_take_exactly_the_evaluator_radii(tag, monkeypatch):
         else:
             summary = random_campaign(kind, 20, 0, r=r)
             assert math.isfinite(summary.max_margin)
+
+
+@pytest.mark.parametrize("tag", list(FunctionalTag), ids=lambda t: t.value)
+def test_scalar_report_is_the_batch_formula_on_one_column(tag):
+    # One formula per kind: the scalar evaluator and the campaigns share it,
+    # so a report equals the batch helper run on the series' own arrays.
+    kind = SAMPLES[tag]
+    spec = kind.spec
+    rng = np.random.default_rng(71)
+    for _ in range(40):
+        gamma = list(0.98 * np.sqrt(rng.random(6)) * np.exp(2j * np.pi * rng.random(6)))
+        gamma[1:1] = [0j] * spec.gap(kind)
+        g = schur_from_parameters(gamma, int(rng.integers(0, 400)))
+        r = float(rng.uniform(0.05, 0.95))
+        report = evaluate_kind(kind, spec.wrap(kind, g), r)
+        value, tail = spec.batch(kind, g.coeffs_array, g.moduli_array, g.coefficient_bound, r)
+        if tag is FunctionalTag.LEMMA_TAIL:  # the report compares against the RHS
+            assert report.margin == value + tail - spec.level
+        else:
+            assert (report.value, report.tail_error) == (value, tail)
