@@ -11,6 +11,11 @@ must pass the residual certificate |value(root)| <= 1e-10 before it counts.
 Three kinds collapse to exact perfect squares when m = 0, whose roots are
 double and show no sign change; those are isolated on the exact square
 root's terms instead, and certified on the full equation the same way.
+
+The grid scan of a polynomial kind is one numpy array; its bisection steps
+and residual certificates sum the terms in plain Python floats, since numpy
+costs about ten times the arithmetic on a single value.  The rational kinds
+and :func:`equation_value` stay on numpy.
 """
 
 from __future__ import annotations
@@ -193,11 +198,9 @@ def _isolation_terms(eq: RadiusEquation) -> list[tuple[float, int]]:
     return _polynomial_terms(eq)
 
 
-def _terms_value(terms: list[tuple[float, int]], arr: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(arr)
-    for coef, exp in terms:
-        out = out + coef * arr**exp
-    return out
+def _terms_value(terms: list[tuple[float, int]], r):
+    """Sum of coef * r**exp over the terms, for a float or a numpy array ``r``."""
+    return sum(coef * r**exp for coef, exp in terms)
 
 
 def equation_value(eq: RadiusEquation, r: float):
@@ -222,16 +225,16 @@ def maximal_root(eq: RadiusEquation) -> float:
     Scans a uniform grid of step 1e-4 with the isolation terms (the exact
     square root of the m = 0 perfect squares, else the equation's own
     terms) and refines every sign-change bracket by bisection on the same
-    terms.  Every candidate must satisfy |value| <= RESIDUAL_TOL on the full
-    equation, and the isolation terms carry no grid sign change above the
-    returned root.
+    terms, in floats.  Every candidate must satisfy |value| <= RESIDUAL_TOL
+    on the full equation's terms, and the isolation terms carry no grid sign
+    change above the returned root.
     """
     if eq.is_rational():
         return unique_root(eq)
     terms = _isolation_terms(eq)
     grid = np.arange(1, round(1.0 / _GRID_STEP)) * _GRID_STEP
     vals = _terms_value(terms, grid)
-    fn = lambda r: float(_terms_value(terms, np.asarray(r)))  # noqa: E731
+    fn = lambda r: _terms_value(terms, r)  # noqa: E731
 
     candidates = [float(grid[i]) for i in np.nonzero(vals == 0.0)[0]]
     signs = np.sign(vals)
@@ -239,7 +242,8 @@ def maximal_root(eq: RadiusEquation) -> float:
     for i in flips:
         candidates.append(_bisect(fn, float(grid[i]), float(grid[i + 1])))
 
-    certified = [r for r in candidates if abs(equation_value(eq, r)) <= RESIDUAL_TOL]
+    full = _polynomial_terms(eq)
+    certified = [r for r in candidates if abs(_terms_value(full, r)) <= RESIDUAL_TOL]
     if not certified:
         raise NoRootError(f"no certifiable root in (0, 1) for {eq}")
     root = max(certified)
@@ -255,7 +259,10 @@ def unique_root(eq: RadiusEquation) -> float:
     """Root of a rational kind by global bisection; both sides are monotone.
 
     The composed kind's left side decreases from p_exp at 0+ to -inf at 1-;
-    the limit kind's increases from -p_exp to 2.  Certified like
+    the limit kind's increases from -p_exp to 2.  The bracket is
+    [1e-9, 1 - 1e-12]; a root below it (only for p_exp under about
+    2e-9 * 1e-9^(N-1)) is bisected on (0, 1e-9] from the limit at 0+, to a
+    width of 1e-14 relative to the upper end.  Certified like
     :func:`maximal_root`.
     """
     if not eq.is_rational():
@@ -267,9 +274,13 @@ def unique_root(eq: RadiusEquation) -> float:
         return lo
     if fhi == 0.0:
         return hi
-    if flo * fhi > 0.0:
+    at_zero = eq.p_exp if eq.kind is RadiusKind.ROG_NPM else -eq.p_exp
+    if (flo < 0.0) != (at_zero < 0.0):
+        root = _bisect(fn, 0.0, lo, flo=at_zero, relative=True)
+    elif flo * fhi > 0.0:
         raise NoRootError(f"no sign change on (0, 1) for {eq}")
-    root = _bisect(fn, lo, hi)
+    else:
+        root = _bisect(fn, lo, hi)
     if abs(fn(root)) > RESIDUAL_TOL:
         raise NoRootError(f"residual certificate failed for {eq}")
     return root
@@ -282,11 +293,18 @@ def star_equivalence_check(n: int, m: int) -> float:
     return abs(star - dstar)
 
 
-def _bisect(fn: Callable[[float], float], lo: float, hi: float) -> float:
-    flo = fn(lo)
-    if flo == 0.0:
-        return lo
-    while hi - lo > _BISECT_WIDTH:
+def _bisect(fn: Callable[[float], float], lo: float, hi: float, *,
+            flo: float | None = None, relative: bool = False) -> float:
+    """Bisect a sign change of ``fn`` on [lo, hi] to width _BISECT_WIDTH.
+
+    ``flo`` stands in for fn(lo) where fn cannot be evaluated at lo (a limit
+    at 0+); with ``relative`` the width is _BISECT_WIDTH * hi.
+    """
+    if flo is None:
+        flo = fn(lo)
+        if flo == 0.0:
+            return lo
+    while hi - lo > _BISECT_WIDTH * (hi if relative else 1.0):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break  # interval is at floating-point resolution

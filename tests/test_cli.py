@@ -491,6 +491,14 @@ class TestSharpnessCommand:
         assert payload["value"] > 1.0 + 1e-6
         assert payload["exceeds_one"] is True
 
+    @pytest.mark.parametrize("kind", [["--kind", "H_PN"], ["--kind", "G_MPN", "--m", "1"]])
+    def test_root_below_rational_bracket(self, capsys, kind):
+        # the sharp radius is about 5e-13, below unique_root's 1e-9 bracket
+        rc = main(["sharpness", *kind, "--p-exp", "1e-12", "--n", "1"])
+        assert rc == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["value"] > 1.0 + 1e-6
+
     @pytest.mark.parametrize("extra", [[], ["--r", "0.5"]])
     def test_lemma_tail_has_no_witness(self, capsys, extra):
         rc = main(["sharpness", "--kind", "LEMMA_TAIL", "--n", "2", *extra])

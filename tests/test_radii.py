@@ -5,9 +5,11 @@ import pytest
 
 from bohrlab.radii import (
     PARAMETER_CAP,
+    RESIDUAL_TOL,
     RadiusEquation,
     _isolation_terms,
     _polynomial_terms,
+    _terms_value,
     equation_value,
     maximal_root,
     star_equivalence_check,
@@ -26,6 +28,18 @@ def _collect(terms):
 
 def _square(terms):
     return [(c1 * c2, e1 + e2) for c1, e1 in terms for c2, e2 in terms]
+
+
+def _polynomial_table(p_max, m_max, n_max):
+    """The polynomial equations of ``bohrlab radii`` at these caps."""
+    pm = [(p, m) for p in range(1, p_max + 1) for m in range(min(p, m_max) + 1)]
+    nm = [(n, m) for m in range(m_max + 1) for n in range(m + 1, n_max + 1)]
+    return (
+        [RadiusEquation.lacunary(p, m) for p, m in pm]
+        + [RadiusEquation.refined_lacunary(p, m) for p, m in pm]
+        + [RadiusEquation.gap_piecewise(n, m) for n, m in nm]
+        + [RadiusEquation.gap(n, m) for n, m in nm]
+    )
 
 
 class TestEquationValue:
@@ -55,6 +69,23 @@ class TestEquationValue:
                 equation_value(eq, r)
 
 
+class TestTermsValue:
+    def test_float_agrees_with_array_at_the_cap(self):
+        # bisection and certificates sum in floats, the grid scan on arrays;
+        # the two differ only by pow's last bit and the sums' rounding
+        eps = np.finfo(float).eps
+        cap = PARAMETER_CAP
+        term_lists = {tuple(terms) for eq in _polynomial_table(cap, cap, cap)
+                      for terms in (_polynomial_terms(eq), _isolation_terms(eq))}
+        for terms in term_lists:
+            for r in (1e-3, 0.2, 1 / 3, 0.7, 0.95, 0.9999):
+                scalar = _terms_value(terms, r)
+                assert isinstance(scalar, float)
+                array = _terms_value(terms, np.array([r]))
+                scale = sum(abs(c) * r**e for c, e in terms)
+                assert abs(scalar - array[0]) <= 8 * eps * scale, (terms, r)
+
+
 class TestIsolationTerms:
     def test_m0_squares_factor_exactly(self):
         for k in range(1, PARAMETER_CAP + 1):
@@ -82,13 +113,11 @@ class TestMaximalRoot:
                 assert 3.0 ** (-1.0 / p) < root < 1.0
 
     def test_residual_certificates(self):
-        eqs = [RadiusEquation.lacunary(p, m) for p in range(1, 7) for m in range(0, p + 1)]
-        eqs += [RadiusEquation.refined_lacunary(p, m) for p in range(1, 7) for m in range(0, p + 1)]
-        eqs += [RadiusEquation.gap(n, m) for m in range(0, 4) for n in range(m + 1, 8)]
-        for eq in eqs:
+        # roots are certified on float sums; equation_value is the numpy path
+        for eq in _polynomial_table(16, 16, 32):
             root = maximal_root(eq)
             assert 0.0 < root < 1.0
-            assert abs(equation_value(eq, root)) <= 1e-10
+            assert abs(equation_value(eq, root)) <= RESIDUAL_TOL, eq
 
     def test_maximality_no_sign_change_above(self):
         for eq in (RadiusEquation.gap(3, 1), RadiusEquation.refined_lacunary(2, 1)):
@@ -113,6 +142,23 @@ class TestUniqueRoot:
     def test_limit_goldens(self):
         assert abs(unique_root(RadiusEquation.rogosinski_limit(1, 1.0)) - 1 / 3) <= 1e-10
         assert abs(unique_root(RadiusEquation.rogosinski_limit(1, 2.0)) - 1 / 2) <= 1e-10
+
+    @pytest.mark.parametrize("p_exp", [1e-12, 1e-10, 0.5, 1.0, 2.0])
+    def test_limit_closed_form(self, p_exp):
+        # 2r - p (1 - r) = 0 at p / (2 + p); the first two lie under the
+        # 1e-9 bracket and are bisected to a width relative to the root
+        root = unique_root(RadiusEquation.rogosinski_limit(1, p_exp))
+        exact = p_exp / (2.0 + p_exp)
+        assert abs(root - exact) <= (1e-12 * exact if exact < 1e-9 else 1e-14)
+
+    def test_composed_root_below_bracket(self):
+        # the left side is about 1e-12 near 0, so the residual says little:
+        # check the sign change across the root instead
+        eq = RadiusEquation.rogosinski(1, 1e-12, 1)
+        root = unique_root(eq)
+        assert 0.0 < root < 1e-9
+        below, above = root * (1 - 1e-12), root * (1 + 1e-12)
+        assert equation_value(eq, below) > 0.0 > equation_value(eq, above)
 
     def test_composed_tends_to_limit(self):
         # growing the inner order recovers the limit equation's root
