@@ -23,7 +23,6 @@ from .functionals import (
     eval_rogosinski_center,
     lemma_tail_bound_check,
     s_star,
-    zero_schwarz_slice,
 )
 from .harness import (
     CampaignSummary,

@@ -12,7 +12,11 @@ Exit statuses are a stable contract:
 
 ``verify`` maps its report's status to 0, 1 or 4 in one place,
 :data:`STATUS_EXIT`.  ``sweep`` gives no verdict and exits 0, even for an
-uncertified file.
+uncertified file.  Every kind admits the radii 0 <= r < 0.995: ``verify``
+outside them is a usage error, and a ``sweep`` row is REJECTED exactly where
+``verify`` would refuse its radius (r < 0, r >= 0.995 or not finite).  A kind
+whose parameters break a hypothesis, I_M weights included, is a usage error
+before anything is evaluated.
 
 All output goes through one writer, :func:`_write`, and is deterministic
 byte-for-byte for fixed flags and seeds: rows are emitted in sorted parameter
@@ -304,7 +308,7 @@ def _run_verify(args) -> int:
     kind = _kind_from_args(args, fallback=fdesc)
     try:
         report = evaluate_kind(kind, fdesc, args.r)
-    except (RadiusError, ValueError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         raise _UsageError(str(exc))
     params = ";".join(f"{k}={v}" for k, v in kind.params().items())
     row = [kind.tag.value, params, args.r, report.value, report.tail_error, report.margin]
@@ -337,12 +341,12 @@ def _run_sweep(args) -> int:
     grid[0] = lo  # 0 * step is NaN where the step is not finite
     rows = []
     for r in grid:
-        if not 0.0 < r < MAX_EVAL_RADIUS:
-            rows.append([r, "", "", "REJECTED"])
-            continue
         try:
             report = evaluate_kind(kind, fdesc, r)
-        except (RadiusError, ValueError, TypeError) as exc:
+        except RadiusError:  # a ValueError too, so it is caught first
+            rows.append([r, "", "", "REJECTED"])
+            continue
+        except (ValueError, TypeError) as exc:
             raise _UsageError(str(exc))
         rows.append([r, report.value, report.margin, "OK"])
     _write(args, ["r", "value", "margin", "status"], rows)

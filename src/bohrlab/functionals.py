@@ -11,7 +11,8 @@ carries no disk-self-map certificate.
 Each formula is written once, as a private helper over degree-major moduli
 of shape ``(T+1, ...)`` with a coefficient bound per function (a float or an
 array): it indexes the degree axis first and returns ``(value, tail)``.  The
-public evaluators check their inputs and pass one 1-D series; randomized
+public evaluators check their inputs (every one admits the radii
+0 <= r < MAX_EVAL_RADIUS) and pass one 1-D series; randomized
 campaigns pass a (T+1, trials) batch, one column per trial, through the same
 helpers, so a scalar report equals its kind's batch formula on one column.
 The composed center of G_MPN is the only formula that reads the complex
@@ -43,9 +44,8 @@ from .series import (
     Certificate,
     CoefficientSeries,
     LacunarySeries,
-    MAX_EVAL_RADIUS,
-    RadiusError,
     TailWeight,
+    _check_radius,
     lacunary_expand,
     weighted_tail,
 )
@@ -70,7 +70,6 @@ __all__ = [
     "eval_rogosinski_center",
     "lemma_tail_bound_check",
     "s_star",
-    "zero_schwarz_slice",
 ]
 
 _SUPPORT_TOL = 1e-12
@@ -211,26 +210,6 @@ class FunctionalKind:
     def label(self) -> str:
         inner = ",".join(f"{k}={v}" for k, v in self.params().items())
         return f"{self.tag.value}({inner})"
-
-
-def _check_weights(d: Sequence[float] | None) -> tuple[float, ...]:
-    if d is None:
-        raise ValueError("the weight sequence d is required")
-    d = tuple(float(x) for x in d)
-    if not all(math.isfinite(x) and x >= 0.0 for x in d):
-        raise ValueError(f"weights d_i must be finite and nonnegative, got {list(d)!r}")
-    return d
-
-
-def _check_radius(r: float, *, allow_zero: bool = False) -> float:
-    r = float(r)
-    lo_ok = r >= 0.0 if allow_zero else r > 0.0
-    if not lo_ok or r >= MAX_EVAL_RADIUS:
-        raise RadiusError(
-            f"radius {r!r} outside the supported range "
-            f"{'[0' if allow_zero else '(0'}, {MAX_EVAL_RADIUS})"
-        )
-    return r
 
 
 def _report(kind: str, params: dict, r: float, value: float, tail: float,
@@ -423,7 +402,7 @@ def eval_gap_sum(
         raise ValueError("the gap sum requires m >= 0 and N >= m + 1")
     if squared_shift < 0:
         raise ValueError("squared_shift must be >= 0")
-    r = _check_radius(r, allow_zero=True)
+    r = _check_radius(r)
     mods = f.moduli_array
     for s in range(min(n, mods.size)):
         if s != m and mods[s] > _SUPPORT_TOL:
@@ -436,14 +415,6 @@ def eval_gap_sum(
     if squared_shift:
         params["squared_shift"] = squared_shift
     return _report("D_NM", params, r, value, tail, f)
-
-
-def zero_schwarz_slice() -> CoefficientSeries:
-    """The zero map: a Schwarz slice of every order (one shared, immutable series)."""
-    return _ZERO_SLICE
-
-
-_ZERO_SLICE = CoefficientSeries((0j,), 0.0, Certificate.SCHUR_EXACT)
 
 
 def _check_rogosinski(p_exp: float, n: int, r: float) -> float:
@@ -487,7 +458,7 @@ def eval_rogosinski_center(
 
 def s_star(f: CoefficientSeries, r: float) -> float:
     """Weighted coefficient energy ``sum_s s |P_s(z)|^2`` with its tail added."""
-    r = _check_radius(r, allow_zero=True)
+    r = _check_radius(r)
     head, tail = _energy(f.moduli_array, f.coefficient_bound, r)
     return float(head + tail)
 
@@ -518,7 +489,11 @@ def constraint_check(d: Sequence[float]) -> ConstraintResult:
     The first weight is the exact integer 8 (the endpoint maximum 4 doubled),
     so the boundary case d = (8/9,) lands at equality up to roundoff.
     """
-    d = _check_weights(d)
+    if d is None:
+        raise ValueError("the weight sequence d is required")
+    d = tuple(float(x) for x in d)
+    if not all(math.isfinite(x) and x >= 0.0 for x in d):
+        raise ValueError(f"weights d_i must be finite and nonnegative, got {list(d)!r}")
     q = (3.0 / 8.0) ** 2
     lhs = 0.0
     for s, weight in enumerate(d, start=1):
@@ -530,6 +505,13 @@ def constraint_check(d: Sequence[float]) -> ConstraintResult:
     return ConstraintResult(ok=ok, lhs=lhs, excess=max(0.0, lhs - 1.0))
 
 
+def _check_constraint(d: Sequence[float] | None) -> None:
+    """Raise ValueError for bad weights, ConstraintViolation where the constraint fails."""
+    check = constraint_check(d)
+    if not check.ok:
+        raise ConstraintViolation(f"weight constraint violated by excess {check.excess!r}")
+
+
 def eval_improved_bohr(
     f: CoefficientSeries, d: Sequence[float], r: float
 ) -> EvaluationReport:
@@ -538,12 +520,8 @@ def eval_improved_bohr(
     value = [refined sum with m = 0, N = 1] + G(S*) where S* is the weighted
     coefficient energy; requires :func:`constraint_check` to pass.
     """
-    check = constraint_check(d)
-    if not check.ok:
-        raise ConstraintViolation(
-            f"weight constraint violated by excess {check.excess!r}"
-        )
-    r = _check_radius(r, allow_zero=True)
+    _check_constraint(d)
+    r = _check_radius(r)
     value, tail = _improved_terms(f.moduli_array, f.coefficient_bound, d, r)
     params = {"d": list(float(x) for x in d)}
     return _report("I_M", params, r, value, tail, f)
@@ -563,7 +541,7 @@ def lemma_tail_bound_check(f: CoefficientSeries, n: int, r: float) -> float:
     """
     if n < 1:
         raise ValueError("N must be >= 1")
-    r = _check_radius(r, allow_zero=True)
+    r = _check_radius(r)
     lhs, rhs = _lemma_sides(f.moduli_array, f.coefficient_bound, n, r)
     return rhs - lhs
 
@@ -572,11 +550,12 @@ def lemma_tail_bound_check(f: CoefficientSeries, n: int, r: float) -> float:
 class KindSpec:
     """Every per-kind fact of one :class:`FunctionalTag`: a row of :data:`KINDS`.
 
-    ``params`` (also the CLI flags) are checked by building the kind's radius
-    equation where it has one.  ``radius`` is None where the inequality holds
-    at every radius below 1.  ``evaluate`` gets the lacunary structure when
-    ``lacunary`` is set.  ``batch`` gives values and tails of coefficient rows,
-    whose margins are value + tail - ``level``.
+    ``params`` (also the CLI flags) are checked by ``check``, which builds the
+    kind's radius equation where it has one and tests I_M's weight constraint.
+    ``radius`` is None where the inequality holds at every radius below 1.
+    ``evaluate`` gets the lacunary structure when ``lacunary`` is set.
+    ``batch`` gives values and tails of coefficient rows, whose margins are
+    value + tail - ``level``.
     Campaign trials insert ``gap`` zero Schur parameters and evaluate ``wrap``.
     ``family`` is the p of the proof's extremal lam^m phi_a(lam^p), raising
     NotSharpError where the proofs give no witness; None: Mobius maps, a -> 1.
@@ -654,7 +633,7 @@ KINDS: dict[FunctionalTag, KindSpec] = {
     ),
     FunctionalTag.I_M: KindSpec(
         ("d",),
-        lambda k: _check_weights(k.d),
+        lambda k: _check_constraint(k.d),
         evaluate=lambda k, f, r: eval_improved_bohr(f, k.d, r),
         batch=lambda k, c, mods, b, r: _improved_terms(mods, b, k.d, r),
         radius=lambda k: 1.0 / 3.0,

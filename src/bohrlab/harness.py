@@ -56,11 +56,11 @@ from .functionals import (
     FunctionalKind,
     NotSharpError,
     Status,
-    zero_schwarz_slice,
 )
 from .series import (
     CoefficientSeries,
     LacunarySeries,
+    _check_radius,
     default_truncation,
     mobius_minus_series,
     mobius_series,
@@ -295,8 +295,9 @@ def random_campaign(
     are exercised by deterministic tests instead).  The evaluation radius
     defaults to the theorem radius of the kind.  Ties in the maximum margin
     resolve to the lowest trial index, so summaries are reproducible.
-    Raises, before sampling, whatever the kind's scalar evaluator raises at
-    ``r`` (RadiusError outside its radius range).
+    Raises RadiusError before sampling where ``r`` breaks the evaluation-radius
+    rule, exactly where ``evaluate_kind`` does; a kind whose parameters break
+    a hypothesis (I_M weights included) cannot be built.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -362,13 +363,10 @@ def _shape_parameters(kind: FunctionalKind, params: np.ndarray) -> np.ndarray:
 def _campaign_radius(kind: FunctionalKind, r: float | None) -> float:
     """``r``, or the theorem radius if None, checked before anything is sampled.
 
-    The zero map goes through the kind's scalar evaluator at ``r``, so a
-    campaign runs at exactly the radii where ``evaluate_kind`` gives a verdict.
+    ``r`` goes through the evaluators' own radius rule, so a campaign runs at
+    exactly the radii where ``evaluate_kind`` gives a verdict.
     """
-    if r is None:
-        return theorem_radius(kind)
-    evaluate_kind(kind, kind.spec.wrap(kind, zero_schwarz_slice()), r)
-    return r
+    return theorem_radius(kind) if r is None else _check_radius(r)
 
 
 def _campaign_truncation(kind: FunctionalKind, r: float) -> int:

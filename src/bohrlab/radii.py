@@ -207,7 +207,7 @@ def equation_value(eq: RadiusEquation, r: float):
     """Left side of the defining equation at ``r`` in (0, 1); accepts arrays."""
     scalar = np.ndim(r) == 0
     arr = np.asarray(r, dtype=float)
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
+    if not (np.all(arr > 0.0) and np.all(arr < 1.0)):  # also rejects NaN
         raise ValueError("equations are evaluated on the open interval (0, 1)")
     if eq.kind is RadiusKind.ROG_NPM:
         rm = arr**eq.m
@@ -262,8 +262,9 @@ def unique_root(eq: RadiusEquation) -> float:
     the limit kind's increases from -p_exp to 2.  The bracket is
     [1e-9, 1 - 1e-12]; a root below it (only for p_exp under about
     2e-9 * 1e-9^(N-1)) is bisected on (0, 1e-9] from the limit at 0+, to a
-    width of 1e-14 relative to the upper end.  Certified like
-    :func:`maximal_root`.
+    width of 1e-14 relative to the upper end, and must show a sign change
+    between two points of (0, 1e-9] within relative 1e-12 of it.  Every root
+    is certified like :func:`maximal_root`.
     """
     if not eq.is_rational():
         raise ValueError("unique_root applies to the rational kinds only")
@@ -277,6 +278,11 @@ def unique_root(eq: RadiusEquation) -> float:
     at_zero = eq.p_exp if eq.kind is RadiusKind.ROG_NPM else -eq.p_exp
     if (flo < 0.0) != (at_zero < 0.0):
         root = _bisect(fn, 0.0, lo, flo=at_zero, relative=True)
+        # Near 0 the residual is of order p_exp, so |fn| <= RESIDUAL_TOL says
+        # little there; a sign change across the root does.
+        fa, fb = fn(root * (1.0 - 1e-12)), fn(min(root * (1.0 + 1e-12), lo))
+        if not (fa <= 0.0 <= fb or fb <= 0.0 <= fa):
+            raise NoRootError(f"no sign change across the root below 1e-9 for {eq}")
     elif flo * fhi > 0.0:
         raise NoRootError(f"no sign change on (0, 1) for {eq}")
     else:

@@ -68,6 +68,18 @@ class RadiusError(ValueError):
     """Raised when an evaluation radius lies outside its admissible range."""
 
 
+def _check_radius(r: float) -> float:
+    """``r`` as a float if 0 <= r < MAX_EVAL_RADIUS; anything else raises RadiusError.
+
+    The one rule for evaluation radii: every evaluator, campaign, ``sweep``
+    row and truncation order applies it.  NaN fails the comparison too.
+    """
+    r = float(r)
+    if not 0.0 <= r < MAX_EVAL_RADIUS:
+        raise RadiusError(f"radius {r!r} outside the supported range [0, {MAX_EVAL_RADIUS})")
+    return r
+
+
 class Certificate(str, Enum):
     """Why a series is believed to be bounded by 1 on the disk."""
 
@@ -214,7 +226,9 @@ class LacunarySeries:
     def expand(self) -> CoefficientSeries:
         """The expanded series, built on the first call and reused after it.
 
-        The identity shape m = 0, p = 1 returns ``g`` itself.
+        The identity shape m = 0, p = 1 returns ``g`` itself, without a copy.
+        Any other expansion whose order m + p*T passes :func:`truncation_cap`
+        is rejected with ValueError before allocating.
         """
         return self._expanded
 
@@ -222,7 +236,19 @@ class LacunarySeries:
     def _expanded(self) -> CoefficientSeries:
         # Stored in the instance __dict__, not as a field, so equality,
         # hashing and repr of the frozen dataclass are unchanged.
-        return lacunary_expand(self.m, self.p, self.g)
+        m, p, g = self.m, self.p, self.g
+        if (m, p) == (0, 1):
+            return g
+        T = m + p * g.truncation_order
+        cap = truncation_cap()
+        if T > cap:
+            raise ValueError(
+                f"expanded order m + p*T = {T} exceeds the truncation cap {cap} "
+                f"(set {_TRUNCATION_CAP_ENV} to raise it)"
+            )
+        coeffs = np.zeros(T + 1, dtype=np.complex128)
+        coeffs[m::p] = g.coeffs_array
+        return CoefficientSeries(coeffs, g.coefficient_bound, g.certificate)
 
     def __call__(self, lam: complex) -> complex:
         return lam**self.m * self.g(lam**self.p)
@@ -337,26 +363,10 @@ def schur_from_parameters(
 def lacunary_expand(m: int, p: int, g: CoefficientSeries) -> CoefficientSeries:
     """Embed ``g`` on the support ``{s*p + m}``: the expansion of lam^m g(lam^p).
 
-    For m = 0, p = 1 the expansion is ``g`` itself, which is returned without
-    building a copy.  Any other expansion whose order m + p*T passes
-    :func:`truncation_cap` is rejected with ValueError before allocating.
+    The expansion of ``LacunarySeries(m, p, g)``, which checks the shape; see
+    :meth:`LacunarySeries.expand`.
     """
-    if m < 0:
-        raise ValueError("base order m must be >= 0")
-    if p < 1:
-        raise ValueError("gap p must be >= 1")
-    if (m, p) == (0, 1):
-        return g
-    T = m + p * g.truncation_order
-    cap = truncation_cap()
-    if T > cap:
-        raise ValueError(
-            f"expanded order m + p*T = {T} exceeds the truncation cap {cap} "
-            f"(set {_TRUNCATION_CAP_ENV} to raise it)"
-        )
-    coeffs = np.zeros(T + 1, dtype=np.complex128)
-    coeffs[m::p] = g.coeffs_array
-    return CoefficientSeries(coeffs, g.coefficient_bound, g.certificate)
+    return LacunarySeries(m, p, g).expand()
 
 
 def tail_bound(series: CoefficientSeries, r: float, weight: TailWeight) -> float:
@@ -365,10 +375,8 @@ def tail_bound(series: CoefficientSeries, r: float, weight: TailWeight) -> float
     The formulas are those of :func:`weighted_tail`, applied to the series'
     coefficient bound and truncation order.
     """
-    if r >= 1.0:
-        raise RadiusError(f"tail bounds require r < 1, got {r!r}")
-    if r < 0.0:
-        raise RadiusError("radius must be nonnegative")
+    if not 0.0 <= r < 1.0:  # also rejects NaN
+        raise RadiusError(f"tail bounds require 0 <= r < 1, got {r!r}")
     b = series.coefficient_bound
     if b == 0.0 or r == 0.0:
         return 0.0
@@ -412,16 +420,11 @@ def default_truncation(
 ) -> int:
     """Smallest truncation order whose LINEAR tail at ``r`` is below ``target``.
 
-    Radii at or above MAX_EVAL_RADIUS are rejected rather than silently served
-    with an enormous order; the result is clamped to :func:`truncation_cap`.
+    ``r`` must pass the evaluation-radius rule (RadiusError otherwise), so a
+    radius near 1 is refused rather than served with an enormous order; the
+    result is clamped to :func:`truncation_cap`.
     """
-    if r >= MAX_EVAL_RADIUS:
-        raise RadiusError(
-            f"evaluation radius {r!r} is at or above the supported maximum "
-            f"{MAX_EVAL_RADIUS}"
-        )
-    if r < 0.0:
-        raise RadiusError("radius must be nonnegative")
+    r = _check_radius(r)
     if r == 0.0 or coefficient_bound <= 0.0:
         return 1
     # bound * r^(T+1) / (1-r) <= target

@@ -30,6 +30,11 @@ def _write_mobius(tmp_path, a=0.5, order=200, name="f.json"):
     return str(path)
 
 
+_NOT_FINITE = "weights d_i must be finite and nonnegative"
+_WEIGHT_ERRORS = {"5": "usage error: invalid parameters for kind I_M: "
+                       "weight constraint violated by excess 4.625"}
+
+
 def _rows(text):
     return list(csv.reader(io.StringIO(text)))
 
@@ -128,12 +133,12 @@ class TestVerifyCommand:
         assert rc == EXIT_UNCERTIFIED
         assert "certificate" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("d", ["nan", "inf", "0.5,nan", "-1"])
+    @pytest.mark.parametrize("d", ["nan", "inf", "0.5,nan", "-1", "5"])
     def test_bad_weights_usage_error(self, tmp_path, capsys, d):
         path = _write_mobius(tmp_path)
         rc = main(["verify", "--file", path, "--kind", "I_M", "--d", d, "--r", "0.3"])
         assert rc == EXIT_USAGE
-        assert "weights d_i must be finite and nonnegative" in capsys.readouterr().err
+        assert _WEIGHT_ERRORS.get(d, _NOT_FINITE) in capsys.readouterr().err
 
     def test_lacunary_kind_from_file(self, tmp_path, capsys):
         fam = LacunarySeries(1, 2, mobius_minus_series(0.4, 150))
@@ -524,11 +529,12 @@ class TestSharpnessCommand:
         assert rc == EXIT_USAGE
         assert "exceeds the cap 64" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("d", ["nan", "inf"])
+    @pytest.mark.parametrize("d", ["nan", "inf", "5"])
     def test_bad_weights_usage_error(self, capsys, d):
+        # weights outside the constraint are a bad parameter, not a failed witness
         rc = main(["sharpness", "--kind", "I_M", "--d", d])
         assert rc == EXIT_USAGE
-        assert "weights d_i must be finite and nonnegative" in capsys.readouterr().err
+        assert _WEIGHT_ERRORS.get(d, _NOT_FINITE) in capsys.readouterr().err
 
     @pytest.mark.parametrize("extra", [[], ["--r", "0.9"]])
     def test_gap_without_witness_usage_error(self, capsys, extra):

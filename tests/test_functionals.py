@@ -93,8 +93,9 @@ class TestLacunarySum:
         fam = LacunarySeries(0, 1, mobius_minus_series(0.5, 10))
         with pytest.raises(RadiusError):
             eval_lacunary_sum(fam, 0.995)
-        with pytest.raises(RadiusError):
-            eval_lacunary_sum(fam, 0.0)
+        # r = 0 is admitted, as by every evaluator: only |g_0| is left
+        rep = eval_lacunary_sum(fam, 0.0)
+        assert (rep.value, rep.tail_error, rep.margin) == (0.5, 0.0, -0.5)
 
     def test_truncation_certificate_is_honest(self):
         # a short truncation's value + tail must cover the long evaluation
@@ -356,6 +357,13 @@ class TestConstraint:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             constraint_check((-0.1,))
+
+    def test_violating_weights_cannot_be_built(self):
+        # one constraint check, run when the kind is built and by the evaluator
+        with pytest.raises(ConstraintViolation, match="excess 4.625"):
+            FunctionalKind.improved((5.0,))
+        with pytest.raises(ConstraintViolation, match="excess 4.625"):
+            eval_improved_bohr(mobius_series(0.5, 20), (5.0,), 0.3)
 
     @pytest.mark.parametrize("d", [(float("nan"),), (float("inf"),), (0.5, float("nan")),
                                    (-0.1,), (float("-inf"), 0.2)])

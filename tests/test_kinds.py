@@ -1,13 +1,16 @@
 """The table of kinds: one row per tag, one validator, and facts read from it."""
 
+import csv
+import io
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
 from bohrlab import harness
-from bohrlab.cli import _kind_from_args, build_parser
+from bohrlab.cli import STATUS_EXIT, EXIT_OK, EXIT_USAGE, _kind_from_args, build_parser, main
 from bohrlab.functionals import KINDS, FunctionalKind, FunctionalTag
 from bohrlab.harness import campaign_function, evaluate_kind, random_campaign
 from bohrlab.radii import RadiusEquation
@@ -16,6 +19,7 @@ from bohrlab.series import (
     LacunarySeries,
     RadiusError,
     schur_from_parameters,
+    series_to_json,
 )
 
 # One kind per tag, every parameter away from its default.
@@ -97,6 +101,7 @@ def test_kind_rejects_what_its_equation_rejects(names, kind, equation):
     (lambda: FunctionalKind.lacunary(65, 1), "parameter p exceeds the cap 64"),
     (lambda: FunctionalKind.tail_lemma(0), "parameter n must satisfy n >= 1, got 0"),
     (lambda: FunctionalKind(FunctionalTag.I_M), "the weight sequence d is required"),
+    (lambda: FunctionalKind.improved((5.0,)), "weight constraint violated by excess 4.625"),
 ])
 def test_bad_parameters_fail_at_construction(build, message):
     with pytest.raises(ValueError) as info:
@@ -157,6 +162,35 @@ def test_campaigns_take_exactly_the_evaluator_radii(tag, monkeypatch):
         else:
             summary = random_campaign(kind, 20, 0, r=r)
             assert math.isfinite(summary.max_margin)
+
+
+@pytest.mark.parametrize("tag", list(FunctionalTag), ids=lambda t: t.value)
+def test_sweep_rows_are_verify_at_the_same_radius(tag, tmp_path, capsys):
+    # One radius rule: a single-point sweep row is REJECTED exactly where
+    # evaluate_kind refuses the radius, and is otherwise verify at that r.
+    kind = SAMPLES[tag]
+    f = campaign_function(kind, 3, 0, 0.5)
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(series_to_json(f)))
+    refused = []
+    for r in (-0.1, 0.0, 0.5, 0.995, math.nan, math.inf):
+        assert main(["sweep", "--file", str(path), *_flags(kind),
+                     f"--grid={r!r}:{r!r}:1"]) == EXIT_OK
+        (row,) = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+        status = main(["verify", "--file", str(path), *_flags(kind), f"--r={r!r}"])
+        out = capsys.readouterr().out
+        try:
+            report = evaluate_kind(kind, f, r)
+        except RadiusError:
+            refused.append(r)
+            assert (row[3], status, out) == ("REJECTED", EXIT_USAGE, "")
+            continue
+        verdict = json.loads(out)
+        assert row[3] == "OK" and status == STATUS_EXIT[report.status]
+        assert (float(row[1]), float(row[2])) == (verdict["value"], verdict["margin"])
+        assert (verdict["value"], verdict["margin"]) == (report.value, report.margin)
+        assert status == EXIT_OK or r != 0.0  # every kind holds at r = 0
+    assert refused[:2] == [-0.1, 0.995] and len(refused) == 4
 
 
 @pytest.mark.parametrize("tag", list(FunctionalTag), ids=lambda t: t.value)

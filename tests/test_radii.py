@@ -3,7 +3,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from bohrlab import radii
 from bohrlab.radii import (
+    NoRootError,
     PARAMETER_CAP,
     RESIDUAL_TOL,
     RadiusEquation,
@@ -66,6 +68,13 @@ class TestEquationValue:
         eq = RadiusEquation.lacunary(1, 0)
         for r in (0.0, 1.0, -0.2, 1.4):
             with pytest.raises(ValueError):
+                equation_value(eq, r)
+
+    @pytest.mark.parametrize("r", [np.nan, [0.5, np.nan]])
+    def test_rejects_nan(self, r):
+        for eq in (RadiusEquation.lacunary(1, 0), RadiusEquation.gap(2, 1),
+                   RadiusEquation.rogosinski(1, 1.0, 1), RadiusEquation.rogosinski_limit(1, 1.0)):
+            with pytest.raises(ValueError, match="open interval"):
                 equation_value(eq, r)
 
 
@@ -159,6 +168,19 @@ class TestUniqueRoot:
         assert 0.0 < root < 1e-9
         below, above = root * (1 - 1e-12), root * (1 + 1e-12)
         assert equation_value(eq, below) > 0.0 > equation_value(eq, above)
+
+    def test_root_below_bracket_needs_a_sign_change(self, monkeypatch):
+        # a wrong root 10x the true one still has |residual| of about 9e-12,
+        # inside RESIDUAL_TOL; the sign change across it is what refuses it
+        real = radii._bisect
+
+        def off_by_ten(fn, lo, hi, **kw):
+            root = real(fn, lo, hi, **kw)
+            return 10.0 * root if kw.get("relative") else root
+
+        monkeypatch.setattr(radii, "_bisect", off_by_ten)
+        with pytest.raises(NoRootError, match="no sign change"):
+            unique_root(RadiusEquation.rogosinski_limit(1, 1e-12))
 
     def test_composed_tends_to_limit(self):
         # growing the inner order recovers the limit equation's root

@@ -155,6 +155,15 @@ class TestLacunary:
         assert lacunary_expand(0, 1, g) is g
         assert LacunarySeries(0, 1, g).expand() is g
 
+    @pytest.mark.parametrize("m, p, message", [(-1, 1, "base order m must be >= 0"),
+                                               (0, 0, "gap p must be >= 1")])
+    def test_shape_checked_once(self, m, p, message):
+        g = mobius_minus_series(0.3, 20)
+        for build in (lambda: lacunary_expand(m, p, g), lambda: LacunarySeries(m, p, g)):
+            with pytest.raises(ValueError) as info:
+                build()
+            assert str(info.value) == message
+
     @pytest.mark.parametrize("m, p", [(0, 1), (0, 2), (1, 1), (2, 3), (3, 2)])
     def test_expand_matches_per_element_embedding(self, m, p):
         g = schur_from_parameters((0.3 + 0.2j, -0.5j, 0.4), 12)
@@ -352,6 +361,10 @@ class TestTailBound:
         with pytest.raises(RadiusError):
             tail_bound(s, 1.0, TailWeight.LINEAR)
 
+    def test_rejects_nan_radius(self):
+        with pytest.raises(RadiusError):
+            tail_bound(mobius_series(0.5, 5), float("nan"), TailWeight.LINEAR)
+
     @pytest.mark.parametrize("weight", list(TailWeight))
     def test_row_bounds_match_per_series(self, weight):
         # one call over an array of bounds equals tail_bound series by series
@@ -440,6 +453,11 @@ class TestTruncationPolicy:
     def test_rejects_radius_beyond_cap(self):
         with pytest.raises(RadiusError):
             default_truncation(0.995)
+
+    @pytest.mark.parametrize("r", [-0.1, float("nan"), float("inf")])
+    def test_rejects_radius_outside_the_evaluation_range(self, r):
+        with pytest.raises(RadiusError, match="outside the supported range"):
+            default_truncation(r)
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("BOHRLAB_MAX_TRUNC", "50")
