@@ -359,12 +359,15 @@ def _run_sweep(args) -> int:
 def _run_sharpness(args) -> int:
     kind = _kind_from_args(args)
     r = args.r
-    if r is not None and not 0.0 < r < MAX_EVAL_RADIUS:  # also rejects NaN
+    # A witness radius is positive; sharpness_witness applies the radius rule.
+    if r is not None and not r > 0.0:  # also rejects NaN
         raise _UsageError(f"--r must lie in (0, {MAX_EVAL_RADIUS}), got {r!r}")
     try:  # the sharp radius is isolated once, inside sharpness_witness
         witness = sharpness_witness(kind, r)
     except (NotSharpError, NoRootError) as exc:
         raise _UsageError(f"no sharpness witness for {kind.label()}: {exc}")
+    except RadiusError as exc:  # a ValueError too, so it is caught first
+        raise _UsageError(f"--r must lie in (0, {MAX_EVAL_RADIUS}): {exc}")
     except (ValueError, RuntimeError) as exc:
         print(f"sharpness failure: {exc}", file=sys.stderr)
         return EXIT_VIOLATION

@@ -10,11 +10,15 @@ carries no disk-self-map certificate.
 
 Each formula is written once, as a private helper over degree-major moduli
 of shape ``(T+1, ...)`` with a coefficient bound per function (a float or an
-array): it indexes the degree axis first and returns ``(value, tail)``.  The
-public evaluators check their inputs (every one admits the radii
-0 <= r < MAX_EVAL_RADIUS) and pass one 1-D series; randomized
-campaigns pass a (T+1, trials) batch, one column per trial, through the same
-helpers, so a scalar report equals its kind's batch formula on one column.
+array): it indexes the degree axis first and returns ``(value, tail)``.
+Each kind's row of :data:`KINDS` holds one formula row, ``batch``, built from
+those helpers, and every evaluation runs it.  The scalar path is a batch of
+one: a single function checks the radius (every kind admits
+0 <= r < MAX_EVAL_RADIUS) and the kind's support, runs the row on the
+series' own arrays and builds the report.  ``harness.evaluate_kind`` and
+the public ``eval_*`` functions, which build their kind and so have its
+parameters checked, both call it; randomized campaigns pass a (T+1, trials)
+batch, one column per trial, through the same rows.
 The composed center of G_MPN is the only formula that reads the complex
 coefficients: |f(w(r))|^p at w = lam^m, the sharp case of Schwarz's lemma.
 
@@ -26,7 +30,8 @@ and so every sum, are unchanged bit for bit.
 The gap-sum evaluator also accepts an index shift for its squared block.
 One of the norm-type statements indexes that block at ``s + m`` while the
 linear block runs over ``s >= N``; the shift reproduces that asymmetric
-indexing verbatim.
+indexing verbatim.  It is not a kind parameter: no campaign, sharp radius
+or witness runs that variant.
 """
 
 from __future__ import annotations
@@ -39,14 +44,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .radii import RadiusEquation, _check_int, _check_p_exp, maximal_root
+from .radii import RadiusEquation, _check_int, maximal_root
 from .series import (
     Certificate,
     CoefficientSeries,
     LacunarySeries,
     TailWeight,
     _check_radius,
-    lacunary_expand,
     weighted_tail,
 )
 
@@ -212,19 +216,6 @@ class FunctionalKind:
         return f"{self.tag.value}({inner})"
 
 
-def _report(kind: str, params: dict, r: float, value: float, tail: float,
-            f: CoefficientSeries | LacunarySeries, level: float = 1.0) -> EvaluationReport:
-    """The report of one evaluation of ``f``, certified by its class certificate."""
-    if isinstance(f, LacunarySeries):
-        g, shape = f.g, f"lacunary(m={f.m}, p={f.p}, "
-    else:
-        g, shape = f, "series("
-    function = f"{shape}T={g.truncation_order}, cert={g.certificate.value})"
-    value, tail, level = float(value), float(tail), float(level)
-    return EvaluationReport(value, tail, value + tail - level, kind, params, r, function,
-                            g.certificate is not Certificate.UNKNOWN, level)
-
-
 #: Below 2**-1100 a power is 0.0 in double (the least subnormal is 2**-1074).
 _UNDERFLOW_LOG2 = -1100.0
 
@@ -349,18 +340,55 @@ def _improved_terms(mods, bound, d: Sequence[float], r: float):
     return value + g_val, tail + g_err
 
 
-def _lemma_rhs(c0, n: int, r: float):
-    return (1.0 - c0**2) * r**n / (1.0 - r)
-
-
-def _lemma_sides(mods, bound, n: int, r: float):
-    """The refined tail bound's LHS with its tail certificates, and its RHS."""
+def _lemma_lhs(mods, bound, n: int, r: float):
+    """The refined tail bound's LHS, its tail certificates included, and a zero tail."""
     value, tail = _rogosinski_terms(mods, bound, n, r, 0.0, 0.0)
-    return value + tail, _lemma_rhs(mods[0], n, r)
+    return value + tail, np.zeros_like(value)
 
 
 # ---------------------------------------------------------------------------
-# Public evaluators: input checks, one row, a report.
+# The evaluation path: a kind's formula row on one series, and its report.
+# ---------------------------------------------------------------------------
+
+
+def _evaluate(
+    kind: FunctionalKind, f: CoefficientSeries | LacunarySeries, r: float, **variant
+) -> EvaluationReport:
+    """The report of ``kind`` on ``f`` at ``r``: its ``batch`` row on one column.
+
+    A lacunary kind reads ``g`` of ``f = lam^m g(lam^p)``; every other kind
+    reads ``f`` itself, whose coefficients must vanish off the kind's
+    support.  ``variant`` (only :func:`eval_gap_sum`'s nonzero
+    ``squared_shift``) goes to the row and into the report's parameters.
+    The input's class certificate makes the verdict meaningful.
+    """
+    spec = kind.spec
+    r = _check_radius(r)
+    if spec.lacunary:
+        g, shape = f.g, f"lacunary(m={f.m}, p={f.p}, "
+    else:
+        g, shape = f, "series("
+    mods = g.moduli_array
+    m, n = spec.support(kind)
+    for s in range(min(n, mods.size)):
+        if s != m and mods[s] > _SUPPORT_TOL:
+            raise SupportError(
+                f"coefficient c_{s} = {mods[s]!r} violates the support "
+                f"{{{m}}} | {{s >= {n}}}"
+            )
+    value, tail = spec.batch(kind, g.coeffs_array, mods, g.coefficient_bound, r, **variant)
+    value, tail, level = float(value), float(tail), float(spec.level(kind, mods, r))
+    params = {name: getattr(kind, name) for name in spec.params}
+    if kind.d is not None:
+        params["d"] = list(kind.d)
+    params.update(variant)
+    function = f"{shape}T={g.truncation_order}, cert={g.certificate.value})"
+    return EvaluationReport(value, tail, value + tail - level, kind.tag.value, params, r,
+                            function, g.certificate is not Certificate.UNKNOWN, level)
+
+
+# ---------------------------------------------------------------------------
+# Public evaluators: each builds its kind, which checks the parameters.
 # ---------------------------------------------------------------------------
 
 
@@ -372,12 +400,7 @@ def eval_lacunary_sum(f: LacunarySeries, r: float) -> EvaluationReport:
 
     evaluated with lacunary-aware tails (geometric in r^p).
     """
-    m, p, g = f.m, f.p, f.g
-    if not 0 <= m <= p:
-        raise ValueError("the lacunary sum requires 0 <= m <= p")
-    r = _check_radius(r)
-    value, tail = _lacunary_terms(g.moduli_array, g.coefficient_bound, p, m, r)
-    return _report("A_PM", {"p": p, "m": m}, r, value, tail, f)
+    return _evaluate(FunctionalKind.lacunary(f.p, f.m), f, r)
 
 
 def eval_gap_sum(
@@ -398,30 +421,11 @@ def eval_gap_sum(
     vanishes and the base term alone is returned; the bracket is never
     formed when its sum is empty, so no division occurs.
     """
-    if m < 0 or n < m + 1:
-        raise ValueError("the gap sum requires m >= 0 and N >= m + 1")
+    kind = FunctionalKind.gap(n, m)
     if squared_shift < 0:
         raise ValueError("squared_shift must be >= 0")
-    r = _check_radius(r)
-    mods = f.moduli_array
-    for s in range(min(n, mods.size)):
-        if s != m and mods[s] > _SUPPORT_TOL:
-            raise SupportError(
-                f"coefficient c_{s} = {mods[s]!r} violates the support "
-                f"{{{m}}} | {{s >= {n}}}"
-            )
-    value, tail = _gap_terms(mods, f.coefficient_bound, m, n, r, squared_shift)
-    params: dict[str, object] = {"n": n, "m": m}
-    if squared_shift:
-        params["squared_shift"] = squared_shift
-    return _report("D_NM", params, r, value, tail, f)
-
-
-def _check_rogosinski(p_exp: float, n: int, r: float) -> float:
-    _check_p_exp(p_exp)
-    if n < 1:
-        raise ValueError("N must be >= 1")
-    return _check_radius(r)
+    variant = {"squared_shift": squared_shift} if squared_shift else {}
+    return _evaluate(kind, f, r, **variant)
 
 
 def eval_rogosinski(
@@ -436,24 +440,41 @@ def eval_rogosinski(
     with w = lam^schwarz_order, the sharp case of Schwarz's lemma
     |w(lam)| <= |lam|^order for an order-``schwarz_order`` Schwarz map.
     """
-    if schwarz_order < 1:
-        raise ValueError("the Schwarz order must be >= 1")
-    r = _check_rogosinski(p_exp, n, r)
-    bound = f.coefficient_bound
-    center = _composed_center(f.coeffs_array, bound, schwarz_order, p_exp, r)
-    value, tail = _rogosinski_terms(f.moduli_array, bound, n, r, *center)
-    return _report("G_MPN", {"m": schwarz_order, "p_exp": p_exp, "n": n}, r, value, tail, f)
+    return _evaluate(FunctionalKind.rogosinski(schwarz_order, p_exp, n), f, r)
 
 
 def eval_rogosinski_center(
     f: CoefficientSeries, p_exp: float, n: int, r: float
 ) -> EvaluationReport:
     """The order-infinity limit: the composed center collapses to |f(0)|^p."""
-    r = _check_rogosinski(p_exp, n, r)
-    mods = f.moduli_array
-    center = _center_power(mods[0], 0.0, p_exp)
-    value, tail = _rogosinski_terms(mods, f.coefficient_bound, n, r, *center)
-    return _report("H_PN", {"p_exp": p_exp, "n": n}, r, value, tail, f)
+    return _evaluate(FunctionalKind.rogosinski_center(p_exp, n), f, r)
+
+
+def eval_improved_bohr(
+    f: CoefficientSeries, d: Sequence[float], r: float
+) -> EvaluationReport:
+    """Refined sum plus the polynomial ``G(t) = sum d_i t^i`` of the energy.
+
+    value = [refined sum with m = 0, N = 1] + G(S*) where S* is the weighted
+    coefficient energy; requires :func:`constraint_check` to pass.
+    """
+    return _evaluate(FunctionalKind.improved(d), f, r)
+
+
+def lemma_tail_bound_check(f: CoefficientSeries, n: int, r: float) -> float:
+    """Conservative slack of the refined tail bound at radius ``r``.
+
+    Returns RHS - (LHS + LHS tail certificates), the negated margin of the
+    LEMMA_TAIL report, where, with t = floor((N-1)/2),
+
+    LHS = sum_{s>=N} |P_s| + sgn(t) sum_{s=1..t} |P_s|^2 r^(N-2s)/(1-r)
+        + (1/(1+|f(0)|) + r/(1-r)) sum_{s>t} |P_s|^2
+    RHS = (1 - |f(0)|^2) r^N / (1 - r).
+
+    The contract is slack >= 0 up to roundoff: the truncation certificates
+    are already charged against the slack.
+    """
+    return -_evaluate(FunctionalKind.tail_lemma(n), f, r).margin
 
 
 def s_star(f: CoefficientSeries, r: float) -> float:
@@ -512,40 +533,6 @@ def _check_constraint(d: Sequence[float] | None) -> None:
         raise ConstraintViolation(f"weight constraint violated by excess {check.excess!r}")
 
 
-def eval_improved_bohr(
-    f: CoefficientSeries, d: Sequence[float], r: float
-) -> EvaluationReport:
-    """Refined sum plus the polynomial ``G(t) = sum d_i t^i`` of the energy.
-
-    value = [refined sum with m = 0, N = 1] + G(S*) where S* is the weighted
-    coefficient energy; requires :func:`constraint_check` to pass.
-    """
-    _check_constraint(d)
-    r = _check_radius(r)
-    value, tail = _improved_terms(f.moduli_array, f.coefficient_bound, d, r)
-    params = {"d": list(float(x) for x in d)}
-    return _report("I_M", params, r, value, tail, f)
-
-
-def lemma_tail_bound_check(f: CoefficientSeries, n: int, r: float) -> float:
-    """Conservative slack of the refined tail bound at radius ``r``.
-
-    Returns RHS - (LHS + LHS tail certificates) where, with t = floor((N-1)/2),
-
-    LHS = sum_{s>=N} |P_s| + sgn(t) sum_{s=1..t} |P_s|^2 r^(N-2s)/(1-r)
-        + (1/(1+|f(0)|) + r/(1-r)) sum_{s>t} |P_s|^2
-    RHS = (1 - |f(0)|^2) r^N / (1 - r).
-
-    The contract is slack >= 0 up to roundoff: the truncation certificates
-    are already charged against the slack.
-    """
-    if n < 1:
-        raise ValueError("N must be >= 1")
-    r = _check_radius(r)
-    lhs, rhs = _lemma_sides(f.moduli_array, f.coefficient_bound, n, r)
-    return rhs - lhs
-
-
 @dataclass(frozen=True)
 class KindSpec:
     """Every per-kind fact of one :class:`FunctionalTag`: a row of :data:`KINDS`.
@@ -553,41 +540,31 @@ class KindSpec:
     ``params`` (also the CLI flags) are checked by ``check``, which builds the
     kind's radius equation where it has one and tests I_M's weight constraint.
     ``radius`` is None where the inequality holds at every radius below 1.
-    ``evaluate`` gets the lacunary structure when ``lacunary`` is set.
-    ``batch`` gives values and tails of coefficient rows, whose margins are
-    value + tail - ``level``.
-    Campaign trials insert ``gap`` zero Schur parameters and evaluate ``wrap``.
+    ``batch`` is the kind's one formula: the values and tails of degree-major
+    coefficient rows, complex and as moduli, with their coefficient bounds.
+    Every evaluation runs it, on one series or on a campaign block, and takes
+    the margins value + tail - ``level(kind, mods, r)``.  A ``lacunary`` kind
+    reads g of lam^m g(lam^p).
+    ``support`` is (m, N): the coefficients vanish off {m} | {s >= N}.  An
+    evaluation checks it; a campaign trial is lam^m g, with N - m - 1 zero
+    Schur parameters inserted after g's first.
     ``family`` is the p of the proof's extremal lam^m phi_a(lam^p), raising
     NotSharpError where the proofs give no witness; None: Mobius maps, a -> 1.
     """
 
     params: tuple[str, ...]
     check: Callable[[FunctionalKind], object]
-    evaluate: Callable[..., EvaluationReport]
     batch: Callable[..., tuple]
-    level: float = 1.0
+    level: Callable[..., object] = lambda kind, mods, r: 1.0
     radius: Callable[[FunctionalKind], float] | None = None
     lacunary: bool = False
-    gap: Callable[[FunctionalKind], int] = lambda kind: 0
-    wrap: Callable[..., object] = lambda kind, g: g
+    support: Callable[[FunctionalKind], tuple[int, int]] = lambda kind: (0, 1)
     family: Callable[[FunctionalKind], int | None] = lambda kind: None
 
 
 def _equation_kind(params, equation, **facts) -> KindSpec:
     """A kind whose sharp radius is the maximal root of ``equation(kind)``."""
     return KindSpec(params, equation, radius=lambda k: maximal_root(equation(k)), **facts)
-
-
-def _lemma_report(kind, f: CoefficientSeries, r: float) -> EvaluationReport:
-    slack = lemma_tail_bound_check(f, kind.n, r)
-    rhs = _lemma_rhs(f.moduli_array[0], kind.n, r)
-    return _report("LEMMA_TAIL", {"n": kind.n}, r, rhs - slack, 0.0, f, level=rhs)
-
-
-def _lemma_rows(mods, bound, n: int, r: float):
-    # LHS (its certificates included) - RHS with zero tails, taken at level 0.
-    lhs, rhs = _lemma_sides(mods, bound, n, r)
-    return lhs - rhs, np.zeros_like(lhs)
 
 
 def _gap_family(kind) -> int:
@@ -600,49 +577,41 @@ KINDS: dict[FunctionalTag, KindSpec] = {
     FunctionalTag.A_PM: _equation_kind(
         ("p", "m"),
         lambda k: RadiusEquation.refined_lacunary(k.p, k.m),
-        evaluate=lambda k, f, r: eval_lacunary_sum(f, r),
         batch=lambda k, c, mods, b, r: _lacunary_terms(mods, b, k.p, k.m, r),
         lacunary=True,
-        wrap=lambda k, g: LacunarySeries(k.m, k.p, g),
         family=lambda k: k.p,
     ),
     FunctionalTag.D_NM: _equation_kind(
         ("n", "m"),
         lambda k: RadiusEquation.gap(k.n, k.m),
-        evaluate=lambda k, f, r: eval_gap_sum(f, k.m, k.n, r),
-        # The trial function is lam^m g(lam): m leading zero coefficients.
-        batch=lambda k, c, mods, b, r: _gap_terms(
-            np.pad(mods, ((k.m, 0),) + ((0, 0),) * (mods.ndim - 1)), b, k.m, k.n, r),
-        gap=lambda k: k.n - k.m - 1,
-        wrap=lambda k, g: lacunary_expand(k.m, 1, g),
+        batch=lambda k, c, mods, b, r, squared_shift=0: _gap_terms(
+            mods, b, k.m, k.n, r, squared_shift),
+        support=lambda k: (k.m, k.n),
         family=_gap_family,
     ),
     FunctionalTag.G_MPN: _equation_kind(
         ("m", "p_exp", "n"),
         lambda k: RadiusEquation.rogosinski(k.n, k.p_exp, k.m),
-        evaluate=lambda k, f, r: eval_rogosinski(f, k.m, k.p_exp, k.n, r),
         batch=lambda k, c, mods, b, r: _rogosinski_terms(
             mods, b, k.n, r, *_composed_center(c, b, k.m, k.p_exp, r)),
     ),
     FunctionalTag.H_PN: _equation_kind(
         ("p_exp", "n"),
         lambda k: RadiusEquation.rogosinski_limit(k.n, k.p_exp),
-        evaluate=lambda k, f, r: eval_rogosinski_center(f, k.p_exp, k.n, r),
         batch=lambda k, c, mods, b, r: _rogosinski_terms(
             mods, b, k.n, r, *_center_power(mods[0], 0.0, k.p_exp)),
     ),
     FunctionalTag.I_M: KindSpec(
         ("d",),
         lambda k: _check_constraint(k.d),
-        evaluate=lambda k, f, r: eval_improved_bohr(f, k.d, r),
         batch=lambda k, c, mods, b, r: _improved_terms(mods, b, k.d, r),
         radius=lambda k: 1.0 / 3.0,
     ),
     FunctionalTag.LEMMA_TAIL: KindSpec(
         ("n",),
         lambda k: _check_int("n", k.n, 1),
-        evaluate=_lemma_report,
-        batch=lambda k, c, mods, b, r: _lemma_rows(mods, b, k.n, r),
-        level=0.0,
+        batch=lambda k, c, mods, b, r: _lemma_lhs(mods, b, k.n, r),
+        # The bound's right side (1 - |c_0|^2) r^N / (1 - r).
+        level=lambda k, mods, r: (1.0 - mods[0] ** 2) * r**k.n / (1.0 - r),
     ),
 }

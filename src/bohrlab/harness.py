@@ -7,9 +7,9 @@ past its sharp radius, and runs seeded random sweeps over disk self-maps
 whose margins must stay nonpositive at the theorem radius.
 
 Campaigns evaluate a whole batch of sampled functions at once, through the
-same formula helpers of :mod:`bohrlab.functionals` that the scalar evaluators
-call on a single coefficient row; only the input checks and the reports are
-per function.
+same formula row of each kind (``KINDS[...].batch``) that every scalar
+evaluation runs on a single column; only the input checks and the reports
+are per function.
 
 Campaign functions come from ``count`` Schur parameters (8, plus the zeros a
 gap kind inserts).  The numerator and denominator of their continued fraction
@@ -28,7 +28,8 @@ whole contiguous rows, the moduli keep that shape, and the formula helpers
 index the degree axis first, so no step transposes a batch.
 
 Campaigns run their trials through that pipeline (parameters with their gap
-zeros, Taylor coefficients, moduli, formula helpers, margins) in blocks of
+zeros, Taylor coefficients of g with the m leading zero rows of lam^m g,
+moduli, formula rows, margins) in blocks of
 ``_BLOCK`` = 1,024 trials, written into preallocated margin and tail arrays.
 A campaign draws each block's parameters as the block runs, so beyond the
 O(trials) margins memory does not grow with the trial count.  Blocks start
@@ -56,12 +57,14 @@ from .functionals import (
     FunctionalKind,
     NotSharpError,
     Status,
+    _evaluate,
 )
 from .series import (
     CoefficientSeries,
     LacunarySeries,
     _check_radius,
     default_truncation,
+    lacunary_expand,
     mobius_minus_series,
     mobius_series,
     schur_from_parameters,
@@ -158,8 +161,10 @@ def evaluate_kind(
     """Evaluate one functional kind on a slice at radius ``r``.
 
     A_PM takes the lacunary structure; the remaining kinds evaluate the
-    expanded series.  For LEMMA_TAIL the report's margin is taken against the
-    bound's right side instead of 1, so margin <= 0 still means "holds".
+    expanded series.  The kind's formula row runs on the series' own arrays
+    (see ``functionals._evaluate``).  For LEMMA_TAIL the report's margin is
+    taken against the bound's right side instead of 1, so margin <= 0 still
+    means "holds".
     """
     spec = kind.spec
     if spec.lacunary:
@@ -171,7 +176,7 @@ def evaluate_kind(
             )
     elif isinstance(f, LacunarySeries):
         f = f.expand()
-    return spec.evaluate(kind, f, r)
+    return _evaluate(kind, f, r)
 
 
 def empirical_radius(
@@ -233,7 +238,8 @@ def proof_extremal(kind: FunctionalKind) -> LacunarySeries:
 def sharpness_witness(kind: FunctionalKind, r: float | None = None) -> WitnessReport:
     """Construct the proof's witness pushing the functional above 1 at ``r``.
 
-    ``r`` defaults to the sharp radius + 0.01.  The lacunary and gap sums use
+    ``r`` defaults to the sharp radius + 0.01; either way it must pass the
+    evaluation-radius rule (RadiusError).  The lacunary and gap sums use
     the explicit optimizing parameter (the m = 0 branches use a = 1/(2c) with
     c the relevant tail factor); the composed-center and improved kinds search
     the ascending schedule a = 1 - 2^-k, capped at 1 - 1e-6, because their
@@ -244,8 +250,7 @@ def sharpness_witness(kind: FunctionalKind, r: float | None = None) -> WitnessRe
     """
     family = kind.spec.family(kind)
     radius = theorem_radius(kind)  # raises NotSharpError before any root
-    if r is None:
-        r = radius + 0.01
+    r = _check_radius(radius + 0.01 if r is None else r)
     if r <= radius:
         raise ValueError(
             f"witnesses exist only above the sharp radius {radius!r}, got {r!r}"
@@ -336,7 +341,9 @@ def campaign_function(kind: FunctionalKind, seed: int, trial: int, r: float | No
     params = _sample_parameters(rng, 1)
     gamma = [complex(c) for c in _shape_parameters(kind, params[0])]
     g = schur_from_parameters(gamma, _campaign_truncation(kind, r))
-    return kind.spec.wrap(kind, g)
+    if kind.spec.lacunary:
+        return LacunarySeries(kind.m, kind.p, g)
+    return lacunary_expand(kind.spec.support(kind)[0], 1, g)  # lam^m g
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +362,9 @@ def _sample_parameters(rng: np.random.Generator, trials: int) -> np.ndarray:
 
 
 def _shape_parameters(kind: FunctionalKind, params: np.ndarray) -> np.ndarray:
-    """Insert the zero parameters that carve out the kind's support gap (last axis)."""
-    gap = kind.spec.gap(kind)
+    """Insert the N - m - 1 zero parameters that carve out the support gap (last axis)."""
+    m, n = kind.spec.support(kind)
+    gap = n - m - 1
     return np.insert(params, [1] * gap, 0j, axis=-1) if gap > 0 else params
 
 
@@ -443,6 +451,8 @@ def _batch_margins(
     block could round its trials differently.
     """
     T = _campaign_truncation(kind, r)
+    spec = kind.spec
+    m = spec.support(kind)[0]
     draw = isinstance(params, np.random.Generator)
     if not draw:
         trials = params.shape[0]
@@ -452,7 +462,10 @@ def _batch_margins(
     for lo, hi in zip(cuts, cuts[1:]):
         rows = _sample_parameters(params, hi - lo) if draw else params[lo:hi]
         coeffs, bound = _batch_schur(_shape_parameters(kind, rows), T)
-        value, tail = kind.spec.batch(kind, coeffs, np.abs(coeffs), bound, r)
-        margins[lo:hi] = value + tail - kind.spec.level
+        if m:  # the trial is lam^m g: m leading zero rows; the bound stays g's
+            coeffs = np.concatenate((np.zeros((m, hi - lo), dtype=complex), coeffs))
+        mods = np.abs(coeffs)
+        value, tail = spec.batch(kind, coeffs, mods, bound, r)
+        margins[lo:hi] = value + tail - spec.level(kind, mods, r)
         tails[lo:hi] = tail
     return margins, tails

@@ -415,22 +415,21 @@ def truncation_cap() -> int:
     return cap
 
 
-def default_truncation(
-    r: float, coefficient_bound: float = 1.0, target: float = TAIL_TARGET
-) -> int:
-    """Smallest truncation order whose LINEAR tail at ``r`` is below ``target``.
+def default_truncation(r: float) -> int:
+    """Smallest truncation order whose LINEAR tail at ``r`` is below TAIL_TARGET.
 
-    ``r`` must pass the evaluation-radius rule (RadiusError otherwise), so a
+    The tail is that of coefficients bounded by 1, r^(T+1) / (1 - r).  ``r``
+    must pass the evaluation-radius rule (RadiusError otherwise), so a
     radius near 1 is refused rather than served with an enormous order; the
     result is clamped to :func:`truncation_cap`.
     """
     r = _check_radius(r)
-    if r == 0.0 or coefficient_bound <= 0.0:
+    if r == 0.0:
         return 1
-    # bound * r^(T+1) / (1-r) <= target
-    needed = math.log(target * (1.0 - r) / coefficient_bound) / math.log(r)
+    # r^(T+1) / (1-r) <= TAIL_TARGET
+    needed = math.log(TAIL_TARGET * (1.0 - r)) / math.log(r)
     T = max(1, math.ceil(needed) - 1)
-    while coefficient_bound * r ** (T + 1) / (1.0 - r) > target:
+    while r ** (T + 1) / (1.0 - r) > TAIL_TARGET:
         T += 1
     return min(T, truncation_cap())
 

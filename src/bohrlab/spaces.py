@@ -167,9 +167,8 @@ def slice_series(
 
     scale = 1.0 + 0j
     if f.form is MappingForm.VECTOR_VALUED:
-        target = f.target if f.target is not None else f.space
         v = f.direction if functional_direction is None else tuple(functional_direction)
-        wv = support_functional(np.asarray(v, dtype=complex), target)
+        wv = support_functional(np.asarray(v, dtype=complex), f.target)
         scale = complex(np.dot(wv, np.asarray(f.direction, dtype=complex)))
     elif functional_direction is not None:
         raise ValueError("functional directions apply to VECTOR_VALUED mappings only")
@@ -196,8 +195,7 @@ def banach_to_json(f: BanachFunction) -> dict:
         "h": series_to_json(f.profile),
     }
     if f.form is MappingForm.VECTOR_VALUED:
-        target = f.target if f.target is not None else f.space
-        data["target"] = {"n": target.dim, "q": _q_to_json(target.q)}
+        data["target"] = {"n": f.target.dim, "q": _q_to_json(f.target.q)}
         data["dir"] = [[c.real, c.imag] for c in f.direction]
     return data
 

@@ -568,6 +568,14 @@ class TestSharpnessCommand:
         assert rc == EXIT_USAGE
         assert "usage error: --r must lie in" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra", [[], ["--r", "0.999"]])
+    def test_witness_radius_past_the_rule_usage_error(self, capsys, extra):
+        # sharp radius 0.99205: the default witness radius (+ 0.01) breaks
+        # the radius rule exactly as the same radius given as --r does
+        rc = main(["sharpness", "--kind", "A_PM", "--p", "64", "--m", "64", *extra])
+        assert rc == EXIT_USAGE
+        assert "usage error: --r must lie in" in capsys.readouterr().err
+
 
 class TestParserReuse:
     def test_built_once_and_not_at_import(self, monkeypatch, capsys):

@@ -22,6 +22,7 @@ from bohrlab.functionals import (
     lemma_tail_bound_check,
     s_star,
 )
+from bohrlab.harness import evaluate_kind
 from bohrlab.radii import RadiusEquation, maximal_root, unique_root
 from bohrlab.series import (
     Certificate,
@@ -175,6 +176,12 @@ class TestGapSum:
             short = eval_gap_sum(CoefficientSeries(coeffs, bound), m, n, r).margin
             long = eval_gap_sum(CoefficientSeries(padded, bound), m, n, r).margin
             assert short >= long, (m, n, length, r, bound)
+
+    def test_parameters_obey_the_kind_cap(self):
+        # the evaluator builds its kind, so direct calls obey the CLI's cap
+        f = CoefficientSeries((0.5 + 0j,), 0.0)
+        with pytest.raises(ValueError, match="^parameter n exceeds the cap 64$"):
+            eval_gap_sum(f, 0, 100, 0.3)
 
     def test_support_violation(self):
         s = CoefficientSeries((0.1 + 0j, 0.2 + 0j, 0.3 + 0j), 0.0)
@@ -484,7 +491,7 @@ class TestReportContract:
         assert {kind.tag for kind in kinds} == set(FunctionalTag)
         for kind in kinds:
             g = LacunarySeries(0, 1, f) if kind.spec.lacunary else f
-            rep = kind.spec.evaluate(kind, g, 0.3)
+            rep = evaluate_kind(kind, g, 0.3)
             data = rep.to_json()
             assert set(data) == {"value", "tail_error", "margin", "inputs"}
             assert (data["value"], data["tail_error"], data["margin"]) == (

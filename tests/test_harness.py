@@ -350,8 +350,11 @@ def _one_block_margins(kind, params, r):
     """The unblocked margin pipeline, kept as the oracle for the blocked one."""
     T = _campaign_truncation(kind, r)
     coeffs, bound = _batch_schur(_shape_parameters(kind, params), T)
-    value, tail = kind.spec.batch(kind, coeffs, np.abs(coeffs), bound, r)
-    return value + tail - kind.spec.level, tail
+    m, _ = kind.spec.support(kind)  # the trial is lam^m g
+    coeffs = np.pad(coeffs, ((m, 0), (0, 0)))
+    mods = np.abs(coeffs)
+    value, tail = kind.spec.batch(kind, coeffs, mods, bound, r)
+    return value + tail - kind.spec.level(kind, mods, r), tail
 
 
 # One kind per tag; the gap kind carries inserted zero parameters.
@@ -443,7 +446,10 @@ def _full_draw_campaign_function(kind, seed, trial, r):
     params = _sample_parameters(rng, trial + 1)
     gamma = [complex(c) for c in _shape_parameters(kind, params[trial])]
     g = schur_from_parameters(gamma, _campaign_truncation(kind, r))
-    return kind.spec.wrap(kind, g)
+    if kind.spec.lacunary:
+        return LacunarySeries(kind.m, kind.p, g)
+    m, _ = kind.spec.support(kind)  # lam^m g
+    return LacunarySeries(m, 1, g).expand()
 
 
 def _trial_series(f):

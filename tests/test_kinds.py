@@ -11,7 +11,17 @@ import pytest
 
 from bohrlab import harness
 from bohrlab.cli import STATUS_EXIT, EXIT_OK, EXIT_USAGE, _kind_from_args, build_parser, main
-from bohrlab.functionals import KINDS, FunctionalKind, FunctionalTag
+from bohrlab.functionals import (
+    KINDS,
+    FunctionalKind,
+    FunctionalTag,
+    eval_gap_sum,
+    eval_improved_bohr,
+    eval_lacunary_sum,
+    eval_rogosinski,
+    eval_rogosinski_center,
+    lemma_tail_bound_check,
+)
 from bohrlab.harness import campaign_function, evaluate_kind, random_campaign
 from bohrlab.radii import RadiusEquation
 from bohrlab.series import (
@@ -193,6 +203,19 @@ def test_sweep_rows_are_verify_at_the_same_radius(tag, tmp_path, capsys):
     assert refused[:2] == [-0.1, 0.995] and len(refused) == 4
 
 
+def _random_trial(kind, rng, max_order):
+    # A random function shaped as a campaign trial of the kind: g with the
+    # support's zero Schur parameters, as lam^m g(lam^p) for a lacunary kind
+    # and as lam^m g for every other.
+    m, n = kind.spec.support(kind)
+    gamma = list(0.98 * np.sqrt(rng.random(6)) * np.exp(2j * np.pi * rng.random(6)))
+    gamma[1:1] = [0j] * (n - m - 1)
+    g = schur_from_parameters(gamma, int(rng.integers(0, max_order)))
+    if kind.spec.lacunary:
+        return LacunarySeries(kind.m, kind.p, g)
+    return LacunarySeries(m, 1, g).expand()
+
+
 @pytest.mark.parametrize("tag", list(FunctionalTag), ids=lambda t: t.value)
 def test_scalar_report_is_the_batch_formula_on_one_column(tag):
     # One formula per kind: the scalar evaluator and the campaigns share it,
@@ -201,13 +224,39 @@ def test_scalar_report_is_the_batch_formula_on_one_column(tag):
     spec = kind.spec
     rng = np.random.default_rng(71)
     for _ in range(40):
-        gamma = list(0.98 * np.sqrt(rng.random(6)) * np.exp(2j * np.pi * rng.random(6)))
-        gamma[1:1] = [0j] * spec.gap(kind)
-        g = schur_from_parameters(gamma, int(rng.integers(0, 400)))
+        f = _random_trial(kind, rng, 400)
         r = float(rng.uniform(0.05, 0.95))
-        report = evaluate_kind(kind, spec.wrap(kind, g), r)
-        value, tail = spec.batch(kind, g.coeffs_array, g.moduli_array, g.coefficient_bound, r)
-        if tag is FunctionalTag.LEMMA_TAIL:  # the report compares against the RHS
-            assert report.margin == value + tail - spec.level
+        report = evaluate_kind(kind, f, r)
+        one = f.g if spec.lacunary else f
+        value, tail = spec.batch(kind, one.coeffs_array, one.moduli_array, one.coefficient_bound, r)
+        level = spec.level(kind, one.moduli_array, r)
+        assert (report.value, report.tail_error, report.level) == (value, tail, level)
+        assert report.margin == value + tail - level
+
+
+# Each public evaluator called with the parameters of one kind.
+PUBLIC_EVALUATORS = {
+    FunctionalTag.A_PM: lambda k, f, r: eval_lacunary_sum(f, r),
+    FunctionalTag.D_NM: lambda k, f, r: eval_gap_sum(f, k.m, k.n, r),
+    FunctionalTag.G_MPN: lambda k, f, r: eval_rogosinski(f, k.m, k.p_exp, k.n, r),
+    FunctionalTag.H_PN: lambda k, f, r: eval_rogosinski_center(f, k.p_exp, k.n, r),
+    FunctionalTag.I_M: lambda k, f, r: eval_improved_bohr(f, k.d, r),
+    FunctionalTag.LEMMA_TAIL: lambda k, f, r: lemma_tail_bound_check(f, k.n, r),
+}
+
+
+@pytest.mark.parametrize("tag", list(FunctionalTag), ids=lambda t: t.value)
+def test_public_evaluator_is_evaluate_kind(tag):
+    # One evaluation path: an eval_* function builds its kind and reports
+    # exactly what evaluate_kind reports; the lemma check is the negated margin.
+    kind = SAMPLES[tag]
+    rng = np.random.default_rng(72)
+    for _ in range(20):
+        f = _random_trial(kind, rng, 300)
+        r = float(rng.uniform(0.0, 0.99))
+        want = evaluate_kind(kind, f, r)
+        got = PUBLIC_EVALUATORS[tag](kind, f, r)
+        if tag is FunctionalTag.LEMMA_TAIL:
+            assert got == -want.margin
         else:
-            assert (report.value, report.tail_error) == (value, tail)
+            assert repr(got) == repr(want)
