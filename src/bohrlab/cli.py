@@ -5,7 +5,8 @@ Exit statuses are a stable contract:
 * 0 success (``verify``: HOLDS, a certified input with margin <= 0)
 * 1 inequality violation (``verify``: VIOLATED, margin > 0 or NaN), or a
   failed selftest/witness
-* 2 usage error (unknown flags, bad parameters, exceeded caps)
+* 2 usage error (unknown flags, bad parameters, exceeded caps, an
+  unwritable ``--out``)
 * 3 parse error (unreadable or malformed function file)
 * 4 uncertified input (``verify``: UNCERTIFIED; evaluated and printed, but
   the verdict is informational)
@@ -79,6 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Radius tables and certified checks for refined Bohr-type sums.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.subcommands = sub.choices  # name -> parser, for _parse
 
     radii = sub.add_parser("radii", help="tabulate every radius kind as CSV")
     radii.add_argument("--p-max", type=int, default=3)
@@ -135,6 +137,26 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse(argv: Sequence[str] | None) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, with the flags scanned once.
+
+    The top-level parser would scan every token only to hand the named
+    subcommand's parser all but the first, which it scans again; so those go
+    straight to that parser, and leftovers are refused as the top-level
+    parser refuses them.  Anything else takes the top-level parser.
+    """
+    parser = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    subparser = parser.subcommands.get(argv[0]) if argv else None
+    if subparser is None:
+        return parser.parse_args(argv)
+    args, extras = subparser.parse_known_args(
+        argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one subcommand and return its exit status.
 
@@ -142,7 +164,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     call in the process; each call parses into a fresh namespace.
     """
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
@@ -251,10 +273,11 @@ def _nesting_bound(raw: bytes) -> int:
     running depth of the brackets outside strings is exact; it is summed in
     blocks, so a huge file takes no more than a copy of its brackets.
     """
-    marks = raw.translate(None, _NOT_MARKS)
-    opens = marks.count(b"[") + marks.count(b"{")
-    if opens <= _ORJSON_DEPTH or b"\\" in marks:  # an escape hides where a string ends
+    octets = np.frombuffer(raw, dtype=np.uint8)
+    opens = int(np.count_nonzero(octets == ord("[")) + np.count_nonzero(octets == ord("{")))
+    if opens <= _ORJSON_DEPTH or b"\\" in raw:  # an escape hides where a string ends
         return opens
+    marks = raw.translate(None, _NOT_MARKS)
     outside = np.frombuffer(_STRING.sub(b"", marks), dtype=np.uint8)
     top = depth = 0
     for start in range(0, outside.size, _DEPTH_BLOCK):
@@ -433,9 +456,12 @@ def _write(args, header: list[str], rows: list[list], payload=None) -> None:
         text = json.dumps(_finite(payload), sort_keys=True, allow_nan=False) + "\n"
     if args.out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write --out {args.out!r}: {exc.strerror or exc}")
 
 
 if __name__ == "__main__":

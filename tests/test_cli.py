@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import dataclasses
 import io
@@ -627,6 +628,106 @@ class TestParserReuse:
         for argv in (["verify", "--file", path, "--kind", "D_NM"], verify):
             runs = [(main(argv), capsys.readouterr()) for _ in range(2)]
             assert runs[0] == runs[1]
+
+
+def parse_outcome(parse, argv):
+    """What ``parse(argv)`` gives: its namespace or exit code, then stdout and stderr.
+
+    The namespace is compared by its repr, so NaN equals NaN and the order of
+    its attributes counts.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = repr(vars(parse(list(argv))))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+_VERIFY = ["verify", "--file", "f.json", "--kind", "D_NM", "--n", "1", "--m", "0",
+           "--r", "0.3"]
+
+#: Argument lists the subcommand fast path and argparse must treat alike.
+_PARSE_CORPUS = {
+    "empty": [],
+    "help": ["-h"],
+    "help-then-command": ["--help", "verify"],
+    **{f"{cmd}-help": [cmd, "-h"]
+       for cmd in ("radii", "verify", "sweep", "sharpness", "selftest")},
+    "help-after-flags": [*_VERIFY, "--help"],
+    "unknown-command": ["verif", "--file", "f.json"],
+    "command-after-flag": ["--file", "f.json", "verify"],
+    "abbreviated-flags": ["verify", "--fil", "f.json", "--kind", "H_PN", "--p-e", "1.5",
+                          "--n", "2", "--r", "0.3"],
+    "ambiguous-abbreviation": ["verify", "--f", "f.json", "--kind", "D_NM", "--r", "0.3"],
+    "invalid-kind": ["verify", "--file", "f.json", "--kind", "BOGUS", "--r", "0.3"],
+    "missing-required": ["verify", "--kind", "D_NM", "--r", "0.3"],
+    "trailing-extras": [*_VERIFY, "extra", "--bogus"],
+    "extras-only": ["radii", "--bogus", "x"],
+    "double-dash": ["verify", "--", *_VERIFY[1:]],
+    "double-dash-last": [*_VERIFY, "--"],
+    "negative-r": ["verify", "--file", "f.json", "--kind", "D_NM", "--r", "-0.3"],
+    "negative-r-joined": ["sharpness", "--kind", "D_NM", "--n", "1", "--m", "0",
+                          "--r=-0.3"],
+    "valid-verify": _VERIFY,
+    "valid-radii": ["radii", "--p-max", "2"],
+    "valid-selftest": ["selftest", "--only", "1,2", "--seed", "3"],
+    "bad-int": ["radii", "--p-max", "two"],
+    "repeated-flag": [*_VERIFY, "--r", "0.4", "--format", "csv", "--out", "x.csv"],
+}
+
+
+class TestParseOnce:
+    """``main`` parses a named subcommand's flags with that subcommand's parser alone."""
+
+    @pytest.mark.parametrize("name", list(_PARSE_CORPUS))
+    def test_same_parse_as_argparse(self, name):
+        import bohrlab.cli as cli
+
+        argv = _PARSE_CORPUS[name]
+        assert (parse_outcome(cli._parse, argv)
+                == parse_outcome(cli.build_parser().parse_args, argv))
+
+    def test_flags_scanned_once(self, monkeypatch):
+        import argparse
+
+        import bohrlab.cli as cli
+
+        scanned = []
+        real = argparse.ArgumentParser._parse_known_args
+
+        def counted(parser, arg_strings, *rest, **kwargs):
+            scanned.append(len(arg_strings))
+            return real(parser, arg_strings, *rest, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "_parse_known_args", counted)
+        cli._parse(_VERIFY)
+        assert scanned == [len(_VERIFY) - 1]
+
+
+class TestUnwritableOut:
+    """An ``--out`` that cannot be written is a usage error, not a traceback."""
+
+    @pytest.mark.parametrize("where", ["directory", "missing-parent"])
+    @pytest.mark.parametrize("command", ["radii", "verify", "sweep", "sharpness"])
+    def test_usage_error_naming_out(self, tmp_path, capsys, command, where):
+        path = _write_mobius(tmp_path, order=60)
+        kind = ["--kind", "D_NM", "--n", "1", "--m", "0"]
+        argv = {
+            "radii": ["radii", "--p-max", "1", "--m-max", "1", "--n-max", "1"],
+            "verify": ["verify", "--file", path, *kind, "--r", "0.3"],
+            "sweep": ["sweep", "--file", path, *kind, "--grid", "0.1:0.5:3"],
+            "sharpness": ["sharpness", *kind],
+        }[command]
+        out = tmp_path if where == "directory" else tmp_path / "missing" / "out.csv"
+        rc = main([*argv, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: cannot write --out ")
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "missing").exists()
 
 
 def _same_value(text, value):

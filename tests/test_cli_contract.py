@@ -3,7 +3,9 @@
 Random ``verify``/``sweep``/``sharpness`` argument lists, valid and not, all
 run in one process through ``main`` and so through its one cached parser.
 Whatever the flags, ``main`` returns a status in 0..4, raises nothing, and
-writes either nothing or one well-formed JSON/CSV document to stdout.
+writes either nothing or one well-formed JSON/CSV document to stdout.  The
+same lists, with their command replaced, dropped or cut short, parse exactly
+as the top-level argparse parser parses them.
 """
 
 import contextlib
@@ -17,9 +19,10 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from bohrlab.cli import GRID_CAP, main  # noqa: E402
+from bohrlab.cli import GRID_CAP, _parse, build_parser, main  # noqa: E402
 from bohrlab.functionals import FunctionalTag  # noqa: E402
 from bohrlab.series import mobius_series, series_to_json  # noqa: E402
+from test_cli import parse_outcome  # noqa: E402
 
 _DEFAULT_FORMAT = {"verify": "json", "sweep": "csv", "sharpness": "json"}
 
@@ -104,5 +107,27 @@ def test_cli_contract(fixture_file):
         elif text:
             fmt = argv[argv.index("--format") + 1] if "--format" in argv else None
             _check_stdout(text, fmt or _DEFAULT_FORMAT[argv[0]])
+
+    check()
+
+
+@st.composite
+def _any_argv(draw, path):
+    """A contract argv, with its command kept, replaced or dropped, and maybe cut short."""
+    argv = draw(_argv(path))
+    head = draw(st.sampled_from([None, None, None, [], ["radii"], ["selftest"], ["-h"],
+                                 ["--help"], ["bogus"], ["--"], ["--file"]]))
+    if head is not None:
+        argv = head + argv[1:]
+    return argv[:draw(st.integers(0, len(argv)))] if draw(st.booleans()) else argv
+
+
+def test_parse_matches_argparse(fixture_file):
+    parser = build_parser()
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(argv=_any_argv(fixture_file))
+    def check(argv):
+        assert parse_outcome(_parse, argv) == parse_outcome(parser.parse_args, argv), argv
 
     check()

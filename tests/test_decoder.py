@@ -15,14 +15,17 @@ Any other difference fails the test.
 
 import io
 import json
+import re
 import struct
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 from bohrlab.cli import _ORJSON_DEPTH, _decode_json, _nesting_bound  # noqa: E402
+from test_cli import _MALFORMED  # noqa: E402
 
 
 def _old_reader(raw: bytes):
@@ -207,3 +210,61 @@ class TestDifferential:
     @hypothesis.given(_SOUP)
     def test_token_soup(self, raw):
         assert _compare(raw) <= {"big int"}
+
+
+_NOT_MARKS = bytes(b for b in range(256) if b not in b'[]{}"\\')
+_STEP = np.zeros(256, dtype=np.int64)
+_STEP[list(b"[{")] = 1
+_STEP[list(b"]}")] = -1
+
+
+def _translate_nesting_bound(raw: bytes) -> int:
+    """The nesting bound as it was first written: every byte is scanned by translate."""
+    marks = raw.translate(None, _NOT_MARKS)
+    opens = marks.count(b"[") + marks.count(b"{")
+    if opens <= _ORJSON_DEPTH or b"\\" in marks:
+        return opens
+    outside = np.frombuffer(re.sub(rb'"[^"]*"', b"", marks), dtype=np.uint8)
+    top = depth = 0
+    for start in range(0, outside.size, 1 << 16):
+        sums = np.cumsum(_STEP[outside[start:start + (1 << 16)]]) + depth
+        top, depth = max(top, int(sums.max())), int(sums[-1])
+    return top
+
+
+#: Runs of one piece: many short, some long enough to pass _ORJSON_DEPTH.
+_RUNS = st.builds(
+    lambda piece, count: piece * count,
+    st.sampled_from([b"[", b"]", b"{", b"}", b'"', b"\\", b"a", b" ", b"0,", b'"x":']),
+    st.sampled_from([1, 1, 1, 2, 3, 200, 600, 1024, 1025]),
+)
+
+
+def _at_cap(opens: int, backslash: bool) -> list[bytes]:
+    """Two documents with ``opens`` openers: nested brackets, and brackets in a string."""
+    escape = b"\\\\" if backslash else b""
+    nested = b"[" * (opens - 2) + b'{"k": ["' + escape + b'", 1]}' + b"]" * (opens - 2)
+    in_string = b'["' + escape + b"[" * (opens - 1) + b'"]'
+    return [nested, in_string]
+
+
+class TestNestingBoundOracle:
+    """``_nesting_bound`` returns the same integer as the translate-based scan."""
+
+    @_SETTINGS
+    @hypothesis.given(st.lists(_RUNS, max_size=12).map(b"".join))
+    def test_drawn_bytes(self, raw):
+        assert _nesting_bound(raw) == _translate_nesting_bound(raw)
+
+    @pytest.mark.parametrize("name", list(_MALFORMED))
+    def test_malformed_corpus(self, name):
+        raw = _MALFORMED[name][0]
+        assert _nesting_bound(raw) == _translate_nesting_bound(raw)
+
+    @pytest.mark.parametrize("backslash", [False, True])
+    @pytest.mark.parametrize("opens", [_ORJSON_DEPTH, _ORJSON_DEPTH + 1])
+    def test_at_the_depth_cap(self, opens, backslash):
+        for raw in _at_cap(opens, backslash):
+            assert raw.count(b"[") + raw.count(b"{") == opens
+            assert (b"\\" in raw) == backslash
+            assert _nesting_bound(raw) == _translate_nesting_bound(raw)
