@@ -13,9 +13,12 @@ Exit statuses are a stable contract:
 
 ``verify`` maps its report's status to 0, 1 or 4 in one place,
 :data:`STATUS_EXIT`.  ``sweep`` gives no verdict and exits 0, even for an
-uncertified file.  Every kind admits the radii 0 <= r < 0.995: ``verify``
-outside them is a usage error, and a ``sweep`` row is REJECTED exactly where
-``verify`` would refuse its radius (r < 0, r >= 0.995 or not finite).  A kind
+uncertified file, for which it prints ``verify``'s warning once on stderr.
+Every kind admits the radii 0 <= r < 0.995: ``verify`` outside them is a
+usage error, and a ``sweep`` row is REJECTED exactly where ``verify`` would
+refuse its radius (r < 0, r >= 0.995 or not finite); it has no value and no
+margin.  ``sweep`` evaluates its accepted radii in one call of
+``harness.evaluate_grid``, and each row is ``verify`` at its radius.  A kind
 whose parameters break a hypothesis, I_M weights included, is a usage error
 before anything is evaluated.
 
@@ -41,7 +44,7 @@ import orjson
 
 from . import selftest as selftest_mod
 from .functionals import KINDS, FunctionalKind, FunctionalTag, Status
-from .harness import NotSharpError, evaluate_kind, sharpness_witness
+from .harness import NotSharpError, evaluate_grid, evaluate_kind, sharpness_witness
 from .radii import (
     PARAMETER_CAP,
     NoRootError,
@@ -49,7 +52,13 @@ from .radii import (
     equation_value,
     maximal_root,
 )
-from .series import LacunarySeries, MAX_EVAL_RADIUS, RadiusError, series_from_json
+from .series import (
+    LacunarySeries,
+    MAX_EVAL_RADIUS,
+    RadiusError,
+    _check_radius,
+    series_from_json,
+)
 from .spaces import banach_from_json, slice_series
 
 __all__ = ["main", "entrypoint"]
@@ -326,6 +335,10 @@ class _ParseError(Exception):
     pass
 
 
+_UNCERTIFIED_WARNING = ("warning: input carries no disk-self-map certificate; "
+                        "the verdict is informational")
+
+
 def _run_verify(args) -> int:
     fdesc = _load_function(args.file)
     kind = _kind_from_args(args, fallback=fdesc)
@@ -339,8 +352,7 @@ def _run_verify(args) -> int:
            report.to_json())
     status = report.status
     if status is Status.UNCERTIFIED:
-        print("warning: input carries no disk-self-map certificate; "
-              "the verdict is informational", file=sys.stderr)
+        print(_UNCERTIFIED_WARNING, file=sys.stderr)
     return STATUS_EXIT[status]
 
 
@@ -362,17 +374,24 @@ def _run_sweep(args) -> int:
     with np.errstate(invalid="ignore", over="ignore"):
         grid = np.linspace(lo, hi, count).tolist()
     grid[0] = lo  # 0 * step is NaN where the step is not finite
-    rows = []
-    for r in grid:
+    rows = [[r, None, None, "REJECTED"] for r in grid]
+    accepted = []
+    for row in rows:
         try:
-            report = evaluate_kind(kind, fdesc, r)
-        except RadiusError:  # a ValueError too, so it is caught first
-            rows.append([r, "", "", "REJECTED"])
+            _check_radius(row[0])
+        except RadiusError:
             continue
+        accepted.append(row)
+    if accepted:
+        try:
+            reports = list(evaluate_grid(kind, fdesc, [row[0] for row in accepted]))
         except (ValueError, TypeError) as exc:
             raise _UsageError(str(exc))
-        rows.append([r, report.value, report.margin, "OK"])
+        for row, report in zip(accepted, reports):
+            row[1:] = [report.value, report.margin, "OK"]
     _write(args, ["r", "value", "margin", "status"], rows)
+    if accepted and reports[0].status is Status.UNCERTIFIED:
+        print(_UNCERTIFIED_WARNING, file=sys.stderr)
     return EXIT_OK
 
 

@@ -27,6 +27,22 @@ Every power table ``x ** exponents`` goes through one helper,
 zero in double precision and fills the rest with exact zeros; the tables,
 and so every sum, are unchanged bit for bit.
 
+The helpers also run on a radius axis.  ``sweep`` and the crossing scan of
+``harness.empirical_radius`` hand ``_evaluate`` many radii; it runs each
+block of them as one ``r``, a 1-D :class:`_RadiusAxis`, and every radius
+gets the report it gets alone, bit for bit.  Only two functions look at the
+shape of ``r``: :func:`_powers` builds one table row per radius with the
+same numpy ``pow`` as for one radius, and :func:`_contract` takes each row's
+dot product as ``np.vecdot`` where one radius (or a campaign's gemv over
+trials) takes ``@``.  Adds, subtracts, multiplies and divides round the same
+on arrays as on floats, but numpy's array ``pow`` differs from libm ``pow``
+(a float or numpy scalar) in about 5% of bases.  So every power whose base
+depends on the radius (r^p, r^m, r^(p-m), r^n, r^(1-m), the tails' r^(T+1)
+and x^(T+1), LEMMA_TAIL's level r^N, G_MPN's x^p and (x+df)^p, I_M's
+energy^i) stays one libm ``pow`` per radius: :class:`_RadiusAxis` takes its
+powers entry by entry.  Where a radius's squared sum is empty (r = 0, or r^m
+underflows) its bracket is not used, and each radius decides that alone.
+
 The gap-sum evaluator also accepts an index shift for its squared block.
 One of the norm-type statements indexes that block at ``s + m`` while the
 linear block runs over ``s >= N``; the shift reproduces that asymmetric
@@ -40,7 +56,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -219,20 +235,63 @@ class FunctionalKind:
 #: Below 2**-1100 a power is 0.0 in double (the least subnormal is 2**-1074).
 _UNDERFLOW_LOG2 = -1100.0
 
+#: Most power-table entries one radius block holds (256 KB per table).
+_RADIUS_BLOCK = 2**15
 
-def _powers(x: float, exponents: np.ndarray) -> np.ndarray:
+
+class _RadiusAxis(np.ndarray):
+    """Radii, or a quantity with one entry per radius, as a 1-D float array.
+
+    Arithmetic keeps the type, and ``x ** e`` takes libm ``pow`` one entry at
+    a time, as the numpy scalar of one radius does: numpy's array power
+    rounds some entries differently.  A power of 0 to a negative exponent, or
+    one that overflows, is inf with a floating-point warning, as for a numpy
+    scalar; the formulas form those only at radii whose result they discard.
+    """
+
+    def __pow__(self, exponent):
+        return np.array([x**exponent for x in self]).view(_RadiusAxis)
+
+
+def _powers(x, exponents: np.ndarray) -> np.ndarray:
     """``x ** exponents`` for ascending exponents >= 0, without computing zeros.
 
     For 0 < x < 1, ``pow`` runs only while ``e * log2(x) >= -1100``; every
     later entry is exactly 0.0, as ``pow`` would return it (after a slow
-    path on underflow).  Other bases take the plain power.
+    path on underflow).  Other bases take the plain power.  A radius axis
+    ``x`` gives one row per radius, each cut at its own underflow point, in
+    one masked ``np.power`` call: the ufunc runs its loop on each row's
+    unmasked run, so every entry is the one the row's own call computes.
     """
+    if isinstance(x, _RadiusAxis):
+        bases = x.view(np.ndarray)
+        cuts = np.full(bases.size, exponents.size)
+        inside = (0.0 < bases) & (bases < 1.0)  # r = 0 takes the plain power
+        cuts[inside] = exponents.searchsorted(_UNDERFLOW_LOG2 / np.log2(bases[inside]),
+                                              side="right")
+        table = np.zeros((bases.size, exponents.size))
+        np.power(bases[:, None], exponents, out=table,
+                 where=np.arange(exponents.size) < cuts[:, None])
+        return table
     if not 0.0 < x < 1.0:
         return x**exponents
     out = np.zeros(exponents.shape)
     k = np.searchsorted(exponents, _UNDERFLOW_LOG2 / math.log2(x), side="right")
     np.power(x, exponents[:k], out=out[:k])
     return out
+
+
+def _contract(table: np.ndarray, mods: np.ndarray):
+    """``table @ mods`` over the degree axis, rounded as on one radius.
+
+    A 1-D table (one radius) takes ``@``: a BLAS dot product for one
+    function, a gemv over a campaign's trials.  A radius axis's 2-D table
+    takes ``np.vecdot``, whose rows are the same dot products as ``@`` on each
+    radius alone; ``table @ mods`` would be a gemv, which rounds differently.
+    """
+    if table.ndim == 1:
+        return table @ mods
+    return np.vecdot(table, mods).view(_RadiusAxis)
 
 
 # ---------------------------------------------------------------------------
@@ -248,39 +307,55 @@ def _lacunary_terms(mods, bound, p: int, m: int, r: float):
     rp = r**p
     rm = r**m
     powers = _powers(rp, np.arange(T + 1))
-    linear = rm * (powers @ mods)
+    linear = rm * _contract(powers, mods)
     lin_tail = rm * weighted_tail(bound, rp, T, TailWeight.LINEAR)
-    sq = rm * rm * (powers[1:] ** 2 @ mods[1:] ** 2)
+    sq = rm * rm * _contract(powers[..., 1:] ** 2, mods[1:] ** 2)
     sq_tail = rm * rm * weighted_tail(bound, rp, T, TailWeight.SQUARED)
     # Where r^m underflows the squared sum is empty and the bracket infinite.
-    if not (sq + sq_tail > 0.0).any():
-        return linear, lin_tail
-    bracket = 1.0 / (rm * (1.0 + mods[0])) + r ** (p - m) / (1.0 - rp)
-    return linear + bracket * sq, lin_tail + bracket * sq_tail
+    return _bracketed(linear, lin_tail, sq, sq_tail,
+                      lambda: 1.0 / (rm * (1.0 + mods[0])) + r ** (p - m) / (1.0 - rp))
 
 
 def _gap_terms(mods, bound, m: int, n: int, r: float, squared_shift: int = 0):
     """Refined sum over the support {m} | {s >= N}; see :func:`eval_gap_sum`."""
     T = mods.shape[0] - 1
     pm = (mods[m] if m <= T else 0.0) * r**m
-    linear = pm + _powers(r, np.arange(n, T + 1, dtype=float)) @ mods[n:]
+    linear = pm + _contract(_powers(r, np.arange(n, T + 1, dtype=float)), mods[n:])
     lin_tail = weighted_tail(bound, r, T, TailWeight.LINEAR)
     start = n + squared_shift
-    sq = _powers(r, 2.0 * np.arange(start, T + 1, dtype=float)) @ mods[start:] ** 2
+    sq = _contract(_powers(r, 2.0 * np.arange(start, T + 1, dtype=float)), mods[start:] ** 2)
     sq_tail = weighted_tail(bound, r, max(T, start - 1), TailWeight.SQUARED)
     # The bracket divides by r^m + |P_m| and by r^(m-1).  Where either
     # overflows, every r^(2s) with s >= start > m underflows: the sum is
-    # empty (as at r = 0) and the bracket is never formed.
-    if not (sq + sq_tail > 0.0).any():
+    # empty (as at r = 0) and the bracket is not used.
+    return _bracketed(linear, lin_tail, sq, sq_tail,
+                      lambda: 1.0 / (r**m + pm) + r ** (1 - m) / (1.0 - r))
+
+
+def _bracketed(linear, lin_tail, sq, sq_tail, bracket):
+    """``linear + bracket() * sq`` and its tail; an empty squared sum adds nothing.
+
+    The squared sum is empty where it and its tail are 0: at r = 0, or where
+    r^m underflows.  There the bracket may be infinite or undefined, so it
+    is formed only if some entry needs it, and an empty entry keeps its
+    linear sums: each radius of a grid decides for itself, as it does alone.
+    """
+    full = sq + sq_tail > 0.0
+    if full.all():
+        factor = bracket()
+        return linear + factor * sq, lin_tail + factor * sq_tail
+    if not full.any():
         return linear, lin_tail
-    bracket = 1.0 / (r**m + pm) + r ** (1 - m) / (1.0 - r)
-    return linear + bracket * sq, lin_tail + bracket * sq_tail
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        factor = bracket()
+        return (np.where(full, linear + factor * sq, linear),
+                np.where(full, lin_tail + factor * sq_tail, lin_tail))
 
 
 def _rogosinski_terms(mods, bound, n: int, r: float, head, head_err):
     """``head`` plus the tail sums of :func:`eval_rogosinski`, t = floor((N-1)/2)."""
     T = mods.shape[0] - 1
-    linear = _powers(r, np.arange(n, T + 1, dtype=float)) @ mods[n:]
+    linear = _contract(_powers(r, np.arange(n, T + 1, dtype=float)), mods[n:])
     lin_tail = weighted_tail(bound, r, T, TailWeight.LINEAR)
     t = (n - 1) // 2
     middle = 0.0
@@ -289,7 +364,7 @@ def _rogosinski_terms(mods, bound, n: int, r: float, head, head_err):
         middle = (mods[1 : min(t, T) + 1] ** 2).sum(axis=0) * r**n / (1.0 - r)
         if t > T:
             mid_tail = (t - T) * bound * bound * r**n / (1.0 - r)
-    sq = _powers(r, 2.0 * np.arange(t + 1, T + 1, dtype=float)) @ mods[t + 1 :] ** 2
+    sq = _contract(_powers(r, 2.0 * np.arange(t + 1, T + 1, dtype=float)), mods[t + 1 :] ** 2)
     sq_tail = weighted_tail(bound, r, T, TailWeight.SQUARED)
     bracket = 1.0 / (1.0 + mods[0]) + r / (1.0 - r)
     value = head + linear + middle + bracket * sq
@@ -313,7 +388,7 @@ def _composed_center(coeffs, bound, m: int, p_exp: float, r: float):
     T = coeffs.shape[0] - 1
     rho = r**m
     powers = _powers(rho, np.arange(T + 1, dtype=float))
-    x = np.hypot(powers @ coeffs.real, powers @ coeffs.imag)
+    x = np.hypot(_contract(powers, coeffs.real), _contract(powers, coeffs.imag))
     return _center_power(x, weighted_tail(bound, rho, T, TailWeight.LINEAR), p_exp)
 
 
@@ -322,7 +397,7 @@ def _energy(mods, bound, r: float):
     T = mods.shape[0] - 1
     s = np.arange(1, T + 1, dtype=float)
     weights = s.reshape(s.shape + (1,) * (mods.ndim - 1))  # s down the degree axis
-    head = _powers(r, 2.0 * s) @ (weights * mods[1:] ** 2)
+    head = _contract(_powers(r, 2.0 * s), weights * mods[1:] ** 2)
     return head, weighted_tail(bound, r, T, TailWeight.S_STAR)
 
 
@@ -347,23 +422,32 @@ def _lemma_lhs(mods, bound, n: int, r: float):
 
 
 # ---------------------------------------------------------------------------
-# The evaluation path: a kind's formula row on one series, and its report.
+# The evaluation path: a kind's formula row on one series, and its reports.
 # ---------------------------------------------------------------------------
 
 
 def _evaluate(
-    kind: FunctionalKind, f: CoefficientSeries | LacunarySeries, r: float, **variant
-) -> EvaluationReport:
-    """The report of ``kind`` on ``f`` at ``r``: its ``batch`` row on one column.
+    kind: FunctionalKind,
+    f: CoefficientSeries | LacunarySeries,
+    radii: Sequence[float],
+    **variant,
+) -> Iterator[EvaluationReport]:
+    """The reports of ``kind`` on ``f`` at each of ``radii``: its ``batch`` row.
 
     A lacunary kind reads ``g`` of ``f = lam^m g(lam^p)``; every other kind
     reads ``f`` itself, whose coefficients must vanish off the kind's
     support.  ``variant`` (only :func:`eval_gap_sum`'s nonzero
     ``squared_shift``) goes to the row and into the report's parameters.
     The input's class certificate makes the verdict meaningful.
+
+    The reports come lazily, in order, one formula pass per block of radii:
+    a block holds at most ``_RADIUS_BLOCK`` power-table entries.  A block of
+    one radius runs the row on that float; a longer one on a radius axis,
+    which gives every radius exactly its one-radius report.  Every radius
+    must pass the evaluation-radius rule (RadiusError before any report).
     """
     spec = kind.spec
-    r = _check_radius(r)
+    radii = list(map(_check_radius, radii))
     if spec.lacunary:
         g, shape = f.g, f"lacunary(m={f.m}, p={f.p}, "
     else:
@@ -376,15 +460,28 @@ def _evaluate(
                 f"coefficient c_{s} = {mods[s]!r} violates the support "
                 f"{{{m}}} | {{s >= {n}}}"
             )
-    value, tail = spec.batch(kind, g.coeffs_array, mods, g.coefficient_bound, r, **variant)
-    value, tail, level = float(value), float(tail), float(spec.level(kind, mods, r))
     params = {name: getattr(kind, name) for name in spec.params}
     if kind.d is not None:
         params["d"] = list(kind.d)
     params.update(variant)
     function = f"{shape}T={g.truncation_order}, cert={g.certificate.value})"
-    return EvaluationReport(value, tail, value + tail - level, kind.tag.value, params, r,
-                            function, g.certificate is not Certificate.UNKNOWN, level)
+    certified = g.certificate is not Certificate.UNKNOWN
+    size = max(1, _RADIUS_BLOCK // mods.size)
+    for lo in range(0, len(radii), size):
+        block = radii[lo : lo + size]
+        r = block[0] if len(block) == 1 else np.array(block).view(_RadiusAxis)
+        value, tail = spec.batch(kind, g.coeffs_array, mods, g.coefficient_bound, r, **variant)
+        level = spec.level(kind, mods, r)
+        count = len(block)
+        columns = zip(block, _entries(value, count), _entries(tail, count), _entries(level, count))
+        for radius, v, t, lv in columns:
+            yield EvaluationReport(v, t, v + t - lv, kind.tag.value, dict(params), radius,
+                                   function, certified, lv)
+
+
+def _entries(x, count: int) -> list[float]:
+    """The ``count`` floats of a block's result: one per radius, or one for all."""
+    return x.tolist() if getattr(x, "ndim", 0) else [float(x)] * count
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +497,7 @@ def eval_lacunary_sum(f: LacunarySeries, r: float) -> EvaluationReport:
 
     evaluated with lacunary-aware tails (geometric in r^p).
     """
-    return _evaluate(FunctionalKind.lacunary(f.p, f.m), f, r)
+    return next(_evaluate(FunctionalKind.lacunary(f.p, f.m), f, [r]))
 
 
 def eval_gap_sum(
@@ -425,7 +522,7 @@ def eval_gap_sum(
     if squared_shift < 0:
         raise ValueError("squared_shift must be >= 0")
     variant = {"squared_shift": squared_shift} if squared_shift else {}
-    return _evaluate(kind, f, r, **variant)
+    return next(_evaluate(kind, f, [r], **variant))
 
 
 def eval_rogosinski(
@@ -440,14 +537,14 @@ def eval_rogosinski(
     with w = lam^schwarz_order, the sharp case of Schwarz's lemma
     |w(lam)| <= |lam|^order for an order-``schwarz_order`` Schwarz map.
     """
-    return _evaluate(FunctionalKind.rogosinski(schwarz_order, p_exp, n), f, r)
+    return next(_evaluate(FunctionalKind.rogosinski(schwarz_order, p_exp, n), f, [r]))
 
 
 def eval_rogosinski_center(
     f: CoefficientSeries, p_exp: float, n: int, r: float
 ) -> EvaluationReport:
     """The order-infinity limit: the composed center collapses to |f(0)|^p."""
-    return _evaluate(FunctionalKind.rogosinski_center(p_exp, n), f, r)
+    return next(_evaluate(FunctionalKind.rogosinski_center(p_exp, n), f, [r]))
 
 
 def eval_improved_bohr(
@@ -458,7 +555,7 @@ def eval_improved_bohr(
     value = [refined sum with m = 0, N = 1] + G(S*) where S* is the weighted
     coefficient energy; requires :func:`constraint_check` to pass.
     """
-    return _evaluate(FunctionalKind.improved(d), f, r)
+    return next(_evaluate(FunctionalKind.improved(d), f, [r]))
 
 
 def lemma_tail_bound_check(f: CoefficientSeries, n: int, r: float) -> float:
@@ -474,7 +571,7 @@ def lemma_tail_bound_check(f: CoefficientSeries, n: int, r: float) -> float:
     The contract is slack >= 0 up to roundoff: the truncation certificates
     are already charged against the slack.
     """
-    return -_evaluate(FunctionalKind.tail_lemma(n), f, r).margin
+    return -next(_evaluate(FunctionalKind.tail_lemma(n), f, [r])).margin
 
 
 def s_star(f: CoefficientSeries, r: float) -> float:

@@ -49,6 +49,7 @@ from __future__ import annotations
 import itertools
 import numbers
 from dataclasses import asdict, dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -82,6 +83,7 @@ __all__ = [
     "WitnessNotFoundError",
     "WitnessReport",
     "empirical_radius",
+    "evaluate_grid",
     "evaluate_kind",
     "proof_extremal",
     "random_campaign",
@@ -166,8 +168,26 @@ def evaluate_kind(
     taken against the bound's right side instead of 1, so margin <= 0 still
     means "holds".
     """
-    spec = kind.spec
-    if spec.lacunary:
+    return next(evaluate_grid(kind, f, [r]))
+
+
+def evaluate_grid(
+    kind: FunctionalKind,
+    f: CoefficientSeries | LacunarySeries,
+    radii: list[float],
+) -> Iterator[EvaluationReport]:
+    """The report of :func:`evaluate_kind` at each of ``radii``, lazily and in order.
+
+    The formula row runs once per block of radii, and each report equals
+    ``evaluate_kind`` at its radius byte for byte.  A radius that breaks the
+    evaluation-radius rule raises RadiusError before any report.
+    """
+    return _evaluate(kind, _kind_input(kind, f), radii)
+
+
+def _kind_input(kind: FunctionalKind, f: CoefficientSeries | LacunarySeries):
+    """``f`` as ``kind`` reads it: lacunary for A_PM, expanded for every other kind."""
+    if kind.spec.lacunary:
         if not isinstance(f, LacunarySeries):
             raise TypeError(f"{kind.tag.value} needs the lacunary structure (m, p, g)")
         if (f.m, f.p) != (kind.m, kind.p):
@@ -176,7 +196,7 @@ def evaluate_kind(
             )
     elif isinstance(f, LacunarySeries):
         f = f.expand()
-    return _evaluate(kind, f, r)
+    return f
 
 
 def empirical_radius(
@@ -185,26 +205,28 @@ def empirical_radius(
     """Smallest r in (0, 0.99] with a VIOLATED report, or the NO_CROSSING sentinel.
 
     Scans with step 1e-3 and bisects the first crossing down to width 1e-9.
-    The input must carry a certificate; margins of uncertified functions say
-    nothing about the inequalities.
+    The scan evaluates its radii k * 1e-3 in ascending blocks (see
+    :func:`evaluate_grid`) and stops at the first block holding a VIOLATED
+    report; the bisection evaluates one radius at a time.  The input must
+    carry a certificate; margins of uncertified functions say nothing about
+    the inequalities.
     """
-    first = evaluate_kind(kind, f, _SCAN_STEP).status
-    if first is Status.UNCERTIFIED:
-        raise ValueError("empirical radii require a certified disk self-map")
-    if first is Status.VIOLATED:
+    f = _kind_input(kind, f)
+    scan = [k * _SCAN_STEP for k in range(1, round(NO_CROSSING / _SCAN_STEP) + 1)]
+    for k, report in enumerate(evaluate_grid(kind, f, scan), start=1):
+        if report.status is Status.UNCERTIFIED:
+            raise ValueError("empirical radii require a certified disk self-map")
+        if report.status is Status.VIOLATED:
+            break
+    else:
+        return NO_CROSSING
+    if k == 1:
         return _SCAN_STEP
-
-    def crosses(r: float) -> bool:
-        return evaluate_kind(kind, f, r).status is Status.VIOLATED
-
-    for k in range(2, round(NO_CROSSING / _SCAN_STEP) + 1):
-        lo, hi = (k - 1) * _SCAN_STEP, k * _SCAN_STEP
-        if crosses(hi):
-            while hi - lo > 1e-9:
-                mid = 0.5 * (lo + hi)
-                lo, hi = (lo, mid) if crosses(mid) else (mid, hi)
-            return 0.5 * (lo + hi)
-    return NO_CROSSING
+    lo, hi = (k - 1) * _SCAN_STEP, k * _SCAN_STEP
+    while hi - lo > 1e-9:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if evaluate_kind(kind, f, mid).status is Status.VIOLATED else (mid, hi)
+    return 0.5 * (lo + hi)
 
 
 def _family_parameter(m: int, p: int, radius: float, r: float) -> float:

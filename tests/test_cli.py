@@ -421,12 +421,18 @@ class TestSweepCommand:
 
     def test_rejected_rows_flagged(self, tmp_path, capsys):
         path = _write_mobius(tmp_path)
-        rc = main(["sweep", "--file", path, "--kind", "D_NM", "--n", "1", "--m", "0",
-                   "--grid", "0.99:1.0:3"])
+        argv = ["sweep", "--file", path, "--kind", "D_NM", "--n", "1", "--m", "0",
+                "--grid", "0.99:1.0:3"]
+        rc = main(argv)
         assert rc == EXIT_OK
         rows = _rows(capsys.readouterr().out)[1:]
         statuses = [r[3] for r in rows]
         assert statuses == ["OK", "REJECTED", "REJECTED"]
+        # A REJECTED row has no value and no margin: empty CSV cells, JSON null.
+        assert rows[1:] == [["0.995", "", "", "REJECTED"], ["1", "", "", "REJECTED"]]
+        assert main(argv + ["--format", "json"]) == EXIT_OK
+        rows = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        assert [(row["value"], row["margin"]) for row in rows[1:]] == [(None, None)] * 2
 
     def test_unsupported_input_usage_error(self, tmp_path, capsys):
         # D_NM(1,3) needs c_0 = 0 at the gap's start; the Mobius map has c_0 = 0.5
@@ -482,6 +488,25 @@ class TestSweepCommand:
         rows = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
         assert [row["r"] for row in rows] == radii
         assert [row["status"] == "OK" for row in rows] == [r is not None for r in radii]
+        for row in rows:  # a REJECTED row has no value and no margin
+            cells = [row["value"], row["margin"]]
+            assert cells == [None, None] if row["status"] == "REJECTED" else all(
+                isinstance(x, float) for x in cells)
+
+    def test_uncertified_file_warns_once_and_prints_the_same_rows(self, tmp_path, capsys):
+        data = series_to_json(mobius_series(0.5, 50))
+        rows = {}
+        for certificate in ("SCHUR_EXACT", "UNKNOWN"):
+            path = tmp_path / f"{certificate}.json"
+            path.write_text(json.dumps({**data, "certificate": certificate}))
+            rc = main(["sweep", "--file", str(path), "--kind", "D_NM", "--n", "1", "--m", "0",
+                       "--grid", "0.1:0.9:5"])
+            assert rc == EXIT_OK
+            captured = capsys.readouterr()
+            rows[certificate] = captured.out
+            warnings_printed = captured.err.count("no disk-self-map certificate")
+            assert warnings_printed == (certificate == "UNKNOWN")
+        assert rows["SCHUR_EXACT"] == rows["UNKNOWN"]
 
     def test_bad_grid_usage_error(self, tmp_path, capsys):
         path = _write_mobius(tmp_path)
@@ -732,8 +757,8 @@ class TestUnwritableOut:
 
 def _same_value(text, value):
     """Whether a CSV cell and a strict-JSON value hold the same datum."""
-    if value is None:  # JSON's spelling of a non-finite float
-        return not math.isfinite(float(text))
+    if value is None:  # JSON's spelling of a non-finite float, or of no value
+        return text == "" or not math.isfinite(float(text))
     if isinstance(value, bool):
         return text == str(value)
     if isinstance(value, (int, float)):
