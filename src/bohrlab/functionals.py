@@ -23,9 +23,19 @@ The composed center of G_MPN is the only formula that reads the complex
 coefficients: |f(w(r))|^p at w = lam^m, the sharp case of Schwarz's lemma.
 
 Every power table ``x ** exponents`` goes through one helper,
-:func:`_powers`, which stops calling ``pow`` where the powers underflow to
-zero in double precision and fills the rest with exact zeros; the tables,
-and so every sum, are unchanged bit for bit.
+:func:`_powers`, which stops at the smallest normal double: an entry is
+``x ** e`` bit for bit where ``x ** e * W >= 2**-1022`` and 0.0 elsewhere,
+W being the larger of 1 and the largest weight (modulus, squared modulus or
+``s |c_s|^2``) the table is contracted against.  numpy's ``pow`` takes about
+7 ns per normal result and about 200 ns per subnormal one, so at r <= 0.6
+most of a long table's time went to terms below 2.2e-308.  A table whose
+last entry is normal (every campaign table) is one plain ``pow`` and needs
+no W.  A_PM's squared table squares only the entries whose square stays
+above the same cut.  G_MPN's composed center keeps the exact table, cut
+only where ``pow`` returns 0.0: |f(r^m)|^p with p < 1 magnifies a tiny
+f(r^m).  Only values made of subnormal terms alone move, and they only
+fall; :func:`_powers` states the bound per sum (below 2**-480 for a
+self-map with T < 2**13).
 
 The helpers also run on a radius axis.  ``sweep`` and the crossing scan of
 ``harness.empirical_radius`` hand ``_evaluate`` many radii; it runs each
@@ -232,8 +242,21 @@ class FunctionalKind:
         return f"{self.tag.value}({inner})"
 
 
-#: Below 2**-1100 a power is 0.0 in double (the least subnormal is 2**-1074).
-_UNDERFLOW_LOG2 = -1100.0
+#: The smallest normal double, and its square root.  numpy's ``pow`` takes
+#: about 7 ns per entry whose result is normal and about 200 ns per
+#: subnormal one.
+_NORMAL = 2.0**-1022
+_NORMAL_LOG2 = -1022.0
+_NORMAL_ROOT = 2.0**-511
+
+#: The weight at which the normal cut is ``pow``'s own: below 2**-1100 a
+#: power is 0.0 in double (the least subnormal is 2**-1074).  A larger
+#: weight keeps no more entries, so every weight is capped here.
+_EXACT_WEIGHT = 2.0**78
+
+#: Relative slack of a cut taken in the log domain, so that it never falls
+#: short of the cut the table's own values give (its error is a few ulp).
+_CUT_SLACK = 1e-12
 
 #: Most power-table entries one radius block holds (256 KB per table).
 _RADIUS_BLOCK = 2**15
@@ -253,32 +276,120 @@ class _RadiusAxis(np.ndarray):
         return np.array([x**exponent for x in self]).view(_RadiusAxis)
 
 
-def _powers(x, exponents: np.ndarray) -> np.ndarray:
-    """``x ** exponents`` for ascending exponents >= 0, without computing zeros.
+def _weight(weights) -> float:
+    """W of a table contracted against ``weights``: at least 1, at most _EXACT_WEIGHT.
 
-    For 0 < x < 1, ``pow`` runs only while ``e * log2(x) >= -1100``; every
-    later entry is exactly 0.0, as ``pow`` would return it (after a slow
-    path on underflow).  Other bases take the plain power.  A radius axis
-    ``x`` gives one row per radius, each cut at its own underflow point, in
-    one masked ``np.power`` call: the ufunc runs its loop on each row's
-    unmasked run, so every entry is the one the row's own call computes.
+    ``None`` asks for the exact table, cut only where ``pow`` gives 0.0.
+    """
+    if weights is None:
+        return _EXACT_WEIGHT
+    return min(float(weights.max(initial=1.0)), _EXACT_WEIGHT)
+
+
+def _cut(log, exponents: np.ndarray, weight: float):
+    """How many leading entries of a table of ``t_e = x^e`` to compute.
+
+    ``log`` is log2(x) < 0 (one per row on a radius axis).  The count covers
+    every entry with ``t_e * weight >= 2**-1022`` and at most one entry past
+    them, which the caller trims by its value.
+    """
+    limit = (_NORMAL_LOG2 - math.log2(weight)) / log * (1.0 + _CUT_SLACK)
+    return np.searchsorted(exponents, limit, side="right")
+
+
+def _cut_row(log: float, exponents: np.ndarray, weights, fill) -> np.ndarray:
+    """One table of ``x^e`` (``log`` = log2(x)), 0.0 where ``entry * W < 2**-1022``.
+
+    ``fill(out, k)`` writes the first k entries into ``out``.
+    """
+    weight = _weight(weights)
+    k = int(_cut(log, exponents, weight))
+    out = np.zeros(exponents.shape)
+    fill(out[:k], k)
+    if k and out[k - 1] * weight < _NORMAL:
+        out[k - 1] = 0.0
+    return out
+
+
+def _cut_rows(bases: np.ndarray, log_scale: float, exponents: np.ndarray, weights, fill):
+    """:func:`_cut_row` on a radius axis: one row per base, each cut at its own point.
+
+    ``fill(out, where)`` writes the entries ``where`` selects in one masked
+    ufunc call, which runs its loop on each row's unmasked run: every entry is
+    the one the row's own call computes.  A row whose base is not in (0, 1)
+    (r = 0) is computed whole, as one radius takes the plain power.
+    """
+    weight = _weight(weights)
+    cuts = np.full(bases.size, exponents.size)
+    inside = (0.0 < bases) & (bases < 1.0)
+    cuts[inside] = _cut(log_scale * np.log2(bases[inside]), exponents, weight)
+    out = np.zeros((bases.size, exponents.size))
+    fill(out, np.arange(exponents.size) < cuts[:, None])
+    rows = np.flatnonzero(inside & (cuts > 0))
+    last = cuts[rows] - 1
+    low = out[rows, last] * weight < _NORMAL
+    out[rows[low], last[low]] = 0.0
+    return out
+
+
+def _powers(x, exponents: np.ndarray, weights=None) -> np.ndarray:
+    """``x ** exponents`` for ascending exponents >= 0, cut at the smallest normal double.
+
+    ``weights`` is what the table is contracted against (moduli, squared
+    moduli or ``s |c_s|^2``), and W = max(1, max(weights)).  For 0 < x < 1
+    an entry is ``x ** e`` bit for bit where ``x ** e * W >= 2**-1022`` and
+    0.0 elsewhere: ``pow`` takes about 7 ns per normal result and 200 ns per
+    subnormal one, and each dropped product is below 2**-1022.  Where the
+    table's last entry is normal W is not needed and the table is one plain
+    ``pow`` (every campaign table: its T makes r^(T+1) about 1e-12).
+    ``weights=None`` gives the exact table, cut only where ``pow`` returns
+    0.0 (x^e < 2**-1100); G_MPN's composed center keeps it, since |f|^p with
+    p < 1 magnifies a tiny f.  Other bases take the plain power, and a radius
+    axis ``x`` gives one row per radius (:func:`_cut_rows`).
+
+    What the cut drops from a sum: at most T+1 terms, each nonnegative and
+    below 2**-1022 before the sum's own factors.  So a value only falls, by
+    at most
+      * (T+1) 2**-1022 in a linear sum and in the energy S* (I_M's
+        G(S*) = sum d_i S*^i scales that by G'(S*), and moves its tail too);
+      * (T+1) 2**-1021/(1-r) in a squared sum times its bracket: in A_PM
+        r^(2m) times the bracket is at most 2/(1-r), in G_MPN, H_PN and
+        LEMMA_TAIL the bracket is at most 1/(1-r);
+      * (T+1) 2**-511 max(1, max|c_s|)/(1-r) in D_NM's squared sum: its
+        bracket is at most r^-m/(1-r), and a dropped r^(2s)|c_s|^2 has
+        r^s |c_s| < 2**-511 with s > m, so r^(2s-m)|c_s|^2 < 2**-511 |c_s|.
+    For a self-map with T < 2**13 (and r < 0.995) every report moves by less
+    than 2**-480.
     """
     if isinstance(x, _RadiusAxis):
         bases = x.view(np.ndarray)
-        cuts = np.full(bases.size, exponents.size)
-        inside = (0.0 < bases) & (bases < 1.0)  # r = 0 takes the plain power
-        cuts[inside] = exponents.searchsorted(_UNDERFLOW_LOG2 / np.log2(bases[inside]),
-                                              side="right")
-        table = np.zeros((bases.size, exponents.size))
-        np.power(bases[:, None], exponents, out=table,
-                 where=np.arange(exponents.size) < cuts[:, None])
-        return table
-    if not 0.0 < x < 1.0:
+        return _cut_rows(bases, 1.0, exponents, weights, lambda out, where: np.power(
+            bases[:, None], exponents, out=out, where=where))
+    if not 0.0 < x < 1.0 or not exponents.size:
         return x**exponents
-    out = np.zeros(exponents.shape)
-    k = np.searchsorted(exponents, _UNDERFLOW_LOG2 / math.log2(x), side="right")
-    np.power(x, exponents[:k], out=out[:k])
-    return out
+    log = math.log2(x)
+    if weights is not None and exponents[-1] * log >= _NORMAL_LOG2:
+        table = x**exponents
+        if table[-1] >= _NORMAL:
+            return table
+    return _cut_row(log, exponents, weights,
+                    lambda out, k: np.power(x, exponents[:k], out=out))
+
+
+def _squares(table: np.ndarray, x, exponents: np.ndarray, weights) -> np.ndarray:
+    """``table ** 2`` for ``table = _powers(x, exponents, ...)``, cut by the same rule.
+
+    An entry is squared where its square times W = max(1, max(weights)) is
+    at least 2**-1022, and 0.0 elsewhere: squaring toward a subnormal costs
+    about ten normal multiplies.  With W = 1 that keeps the entries >= 2**-511.
+    """
+    if isinstance(x, _RadiusAxis):
+        return _cut_rows(x.view(np.ndarray), 2.0, exponents, weights,
+                         lambda out, where: np.square(table, out=out, where=where))
+    if not 0.0 < x < 1.0 or not table.size or table[-1] >= _NORMAL_ROOT:
+        return table**2
+    return _cut_row(2.0 * math.log2(x), exponents, weights,
+                    lambda out, k: np.square(table[:k], out=out))
 
 
 def _contract(table: np.ndarray, mods: np.ndarray):
@@ -294,6 +405,11 @@ def _contract(table: np.ndarray, mods: np.ndarray):
     return np.vecdot(table, mods).view(_RadiusAxis)
 
 
+def _power_sum(x, exponents: np.ndarray, weights: np.ndarray):
+    """``sum_e x^e weights_e`` over the degree axis, on the table cut for ``weights``."""
+    return _contract(_powers(x, exponents, weights), weights)
+
+
 # ---------------------------------------------------------------------------
 # The formulas.  ``mods`` holds moduli of shape (T+1, ...), degree first, and
 # ``bound`` the per-function bound on every dropped coefficient; each helper
@@ -306,10 +422,12 @@ def _lacunary_terms(mods, bound, p: int, m: int, r: float):
     T = mods.shape[0] - 1
     rp = r**p
     rm = r**m
-    powers = _powers(rp, np.arange(T + 1))
+    exponents = np.arange(T + 1)
+    powers = _powers(rp, exponents, mods)
     linear = rm * _contract(powers, mods)
     lin_tail = rm * weighted_tail(bound, rp, T, TailWeight.LINEAR)
-    sq = rm * rm * _contract(powers[..., 1:] ** 2, mods[1:] ** 2)
+    sq_mods = mods[1:] ** 2
+    sq = rm * rm * _contract(_squares(powers[..., 1:], rp, exponents[1:], sq_mods), sq_mods)
     sq_tail = rm * rm * weighted_tail(bound, rp, T, TailWeight.SQUARED)
     # Where r^m underflows the squared sum is empty and the bracket infinite.
     return _bracketed(linear, lin_tail, sq, sq_tail,
@@ -320,10 +438,10 @@ def _gap_terms(mods, bound, m: int, n: int, r: float, squared_shift: int = 0):
     """Refined sum over the support {m} | {s >= N}; see :func:`eval_gap_sum`."""
     T = mods.shape[0] - 1
     pm = (mods[m] if m <= T else 0.0) * r**m
-    linear = pm + _contract(_powers(r, np.arange(n, T + 1, dtype=float)), mods[n:])
+    linear = pm + _power_sum(r, np.arange(n, T + 1, dtype=float), mods[n:])
     lin_tail = weighted_tail(bound, r, T, TailWeight.LINEAR)
     start = n + squared_shift
-    sq = _contract(_powers(r, 2.0 * np.arange(start, T + 1, dtype=float)), mods[start:] ** 2)
+    sq = _power_sum(r, 2.0 * np.arange(start, T + 1, dtype=float), mods[start:] ** 2)
     sq_tail = weighted_tail(bound, r, max(T, start - 1), TailWeight.SQUARED)
     # The bracket divides by r^m + |P_m| and by r^(m-1).  Where either
     # overflows, every r^(2s) with s >= start > m underflows: the sum is
@@ -341,10 +459,12 @@ def _bracketed(linear, lin_tail, sq, sq_tail, bracket):
     linear sums: each radius of a grid decides for itself, as it does alone.
     """
     full = sq + sq_tail > 0.0
-    if full.all():
+    # One radius gives a 0-d flag, and bool() tests it in a fraction of the
+    # time .all() and .any() take.
+    if bool(full) if full.ndim == 0 else full.all():
         factor = bracket()
         return linear + factor * sq, lin_tail + factor * sq_tail
-    if not full.any():
+    if full.ndim == 0 or not full.any():
         return linear, lin_tail
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         factor = bracket()
@@ -355,7 +475,7 @@ def _bracketed(linear, lin_tail, sq, sq_tail, bracket):
 def _rogosinski_terms(mods, bound, n: int, r: float, head, head_err):
     """``head`` plus the tail sums of :func:`eval_rogosinski`, t = floor((N-1)/2)."""
     T = mods.shape[0] - 1
-    linear = _contract(_powers(r, np.arange(n, T + 1, dtype=float)), mods[n:])
+    linear = _power_sum(r, np.arange(n, T + 1, dtype=float), mods[n:])
     lin_tail = weighted_tail(bound, r, T, TailWeight.LINEAR)
     t = (n - 1) // 2
     middle = 0.0
@@ -364,7 +484,7 @@ def _rogosinski_terms(mods, bound, n: int, r: float, head, head_err):
         middle = (mods[1 : min(t, T) + 1] ** 2).sum(axis=0) * r**n / (1.0 - r)
         if t > T:
             mid_tail = (t - T) * bound * bound * r**n / (1.0 - r)
-    sq = _contract(_powers(r, 2.0 * np.arange(t + 1, T + 1, dtype=float)), mods[t + 1 :] ** 2)
+    sq = _power_sum(r, 2.0 * np.arange(t + 1, T + 1, dtype=float), mods[t + 1 :] ** 2)
     sq_tail = weighted_tail(bound, r, T, TailWeight.SQUARED)
     bracket = 1.0 / (1.0 + mods[0]) + r / (1.0 - r)
     value = head + linear + middle + bracket * sq
@@ -383,7 +503,8 @@ def _composed_center(coeffs, bound, m: int, p_exp: float, r: float):
 
     f(r^m) is summed on the real and imaginary planes, like every other sum
     here: a complex zgemv rounds a trial differently in blocks of different
-    widths.  The LINEAR tail at r^m bounds the dropped terms.
+    widths.  The LINEAR tail at r^m bounds the dropped terms.  The power
+    table is exact, not cut at 2**-1022: for p < 1, |f|^p magnifies a tiny f.
     """
     T = coeffs.shape[0] - 1
     rho = r**m
@@ -397,7 +518,7 @@ def _energy(mods, bound, r: float):
     T = mods.shape[0] - 1
     s = np.arange(1, T + 1, dtype=float)
     weights = s.reshape(s.shape + (1,) * (mods.ndim - 1))  # s down the degree axis
-    head = _contract(_powers(r, 2.0 * s), weights * mods[1:] ** 2)
+    head = _power_sum(r, 2.0 * s, weights * mods[1:] ** 2)
     return head, weighted_tail(bound, r, T, TailWeight.S_STAR)
 
 

@@ -35,6 +35,8 @@ __all__ = [
 ]
 
 _UNIT_TOL = 1e-12
+#: The smallest normal double; 1/x overflows below it.
+_NORMAL = 2.0**-1022
 
 
 @dataclass(frozen=True)
@@ -85,14 +87,26 @@ def support_functional(x: Sequence[complex], spec: SpaceSpec) -> np.ndarray:
         j = int(np.argmax(mags))
         w[j] = np.conj(vec[j] / mags[j])
         return w
-    if spec.q == 1.0:
-        nz = mags > 0.0
-        w[nz] = np.conj(vec[nz] / mags[nz])
-        return w
-    nrm = lq_norm(vec, spec)
     nz = mags > 0.0
-    w[nz] = np.conj(vec[nz] / mags[nz]) * (mags[nz] / nrm) ** (spec.q - 1.0)
+    w[nz] = np.conj(_unit_phase(vec[nz], mags[nz]))
+    if spec.q != 1.0:
+        w[nz] *= (mags[nz] / lq_norm(vec, spec)) ** (spec.q - 1.0)
     return w
+
+
+def _unit_phase(z: np.ndarray, mags: np.ndarray) -> np.ndarray:
+    """``z / |z|`` for nonzero entries, rounded as numpy's ``z / mags``.
+
+    numpy divides a complex by a real as a product with the reciprocal, and
+    1/|z| overflows for a subnormal |z|.  Scaling z and |z| by a power of two
+    is exact and leaves that product's rounding unchanged, so subnormal
+    moduli are scaled into the normal range first.
+    """
+    tiny = mags < _NORMAL
+    if tiny.any():
+        z = np.where(tiny, z * 2.0**64, z)
+        mags = np.where(tiny, mags * 2.0**64, mags)
+    return z / mags
 
 
 def dual_exponent(q: float) -> float:

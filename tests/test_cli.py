@@ -199,6 +199,25 @@ class TestVerifyCommand:
         assert f"{name} must be a unit vector" in err
         assert "finite" not in err
 
+    @pytest.mark.parametrize("q", [1.0, 2.0, 3.0, math.inf])
+    def test_subnormal_unit_vector_entry_acts_as_zero(self, tmp_path, capsys, q):
+        # The unit phase of a subnormal entry of u is taken without 1/|u_j|,
+        # which overflows: the file verifies as if that entry were 0.0.
+        from bohrlab.spaces import BanachFunction, MappingForm, SpaceSpec, banach_to_json
+
+        spec = SpaceSpec(2, q)
+        runs = []
+        for tiny in (5e-324, 0.0):
+            f = BanachFunction(MappingForm.SCALAR_COMPOSITE, spec, (1.0, tiny),
+                               mobius_series(0.5, 20))
+            path = tmp_path / f"u{tiny!r}.json"
+            path.write_text(json.dumps(banach_to_json(f)))
+            rc = main(["verify", "--file", str(path), "--kind", "D_NM", "--n", "1",
+                       "--m", "0", "--r", "0.3"])
+            runs.append((rc, capsys.readouterr()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == EXIT_OK and runs[0][1].err == ""
+
     def test_nan_margin_is_not_a_pass(self, tmp_path, capsys, monkeypatch):
         import dataclasses
 

@@ -5,13 +5,16 @@ import warnings
 import numpy as np
 import pytest
 
+from bohrlab import functionals
 from bohrlab.functionals import (
     ConstraintViolation,
     FunctionalKind,
     FunctionalTag,
     Status,
     SupportError,
+    _RadiusAxis,
     _powers,
+    _squares,
     c_constant,
     constraint_check,
     eval_gap_sum,
@@ -505,7 +508,12 @@ class TestReportContract:
 
 
 class TestPowers:
-    """The one power-table helper equals ``x ** e`` bit for bit, zeros included."""
+    """The one power-table helper equals ``x ** e`` bit for bit down to 2**-1022.
+
+    A table contracted against ``weights`` keeps every entry whose product
+    with W = max(1, max(weights)) is at least the smallest normal double, and
+    is 0.0 elsewhere; without weights it is the exact table.
+    """
 
     @staticmethod
     def _bases(rng, count):
@@ -518,28 +526,77 @@ class TestPowers:
             [0.0],                               # 0 ** 0 = 1, then zeros
         ])
 
+    @staticmethod
+    def _weights(rng, size, case):
+        """Moduli of a self-map (W = 1), moduli past 1, or energy weights s |c_s|^2."""
+        mods = rng.random(size)
+        if case == 1:
+            return mods * 10.0 ** rng.uniform(0.0, 6.0)
+        if case == 2:
+            return np.arange(1, size + 1) * mods**2
+        return mods
+
+    @staticmethod
+    def _check(got, plain, weight):
+        keep = plain * weight >= 2.0**-1022
+        assert np.array_equal(got[keep], plain[keep])
+        assert not got[~keep].any()
+
     def test_equals_plain_power(self):
         rng = np.random.default_rng(2024)
         bases = self._bases(rng, 850)
         cases = 0
-        for x in bases:
+        for i, x in enumerate(bases):
             x = float(x)
             start = int(rng.integers(0, 4))
             stop = int(rng.integers(start, 2200))
+            weights = self._weights(rng, stop + 1 - start, i % 3)
+            weight = max(1.0, weights.max())
             for exponents in (
                 np.arange(start, stop + 1),
                 np.arange(start, stop + 1, dtype=float),
                 2.0 * np.arange(start, stop + 1, dtype=float),
             ):
-                got = _powers(x, exponents)
-                assert np.array_equal(got, x**exponents), (x, start, stop)
+                self._check(_powers(x, exponents, weights), x**exponents, weight)
                 cases += 1
         assert cases >= 10_000
 
     def test_tables_reach_subnormals_and_zeros(self):
         e = np.arange(2200, dtype=float)
-        got = _powers(0.5, e)
-        assert got[1074] == 2.0**-1074 and got[1075] == 0.0
-        assert np.array_equal(got, 0.5**e)
-        assert np.array_equal(_powers(0.0, e), 0.0**e)
-        assert _powers(0.0, e)[0] == 1.0
+        exact = _powers(0.5, e)
+        assert exact[1074] == 2.0**-1074 and exact[1075] == 0.0
+        assert np.array_equal(exact, 0.5**e)
+        # Moduli of a self-map: the table stops at the smallest normal double.
+        got = _powers(0.5, e, np.ones(e.size))
+        assert got[1022] == 2.0**-1022 and got[1023] == 0.0
+        assert np.array_equal(got[:1023], exact[:1023]) and not got[1023:].any()
+        # A weight of 4 moves the cut two entries down; a huge one keeps all.
+        assert np.flatnonzero(_powers(0.5, e, np.full(e.size, 4.0)))[-1] == 1024
+        assert np.array_equal(_powers(0.5, e, np.full(e.size, 1e300)), exact)
+        for weights in (None, np.ones(e.size)):
+            assert np.array_equal(_powers(0.0, e, weights), 0.0**e)
+            assert _powers(0.0, e, weights)[0] == 1.0
+
+    def test_cut_is_set_by_the_entries_values(self, monkeypatch):
+        # The cut is estimated in the log domain with a relative slack and
+        # trimmed by value.  A slack of 1e-4 puts one entry past the cut into
+        # about a tenth of these tables; the trim must give the same tables,
+        # on one radius and on a radius axis.
+        rng = np.random.default_rng(11)
+        bases = 2.0 ** -rng.uniform(0.5, 3.0, 400)
+        e = np.arange(2200, dtype=float)
+        weights = self._weights(rng, e.size, 1)
+        want = [_powers(float(x), e, weights) for x in bases]
+        monkeypatch.setattr(functionals, "_CUT_SLACK", 1e-4)
+        assert all(np.array_equal(_powers(float(x), e, weights), w) for x, w in zip(bases, want))
+        assert np.array_equal(_powers(bases.view(_RadiusAxis), e, weights), np.array(want))
+
+    def test_squared_table_follows_the_same_rule(self):
+        rng = np.random.default_rng(7)
+        for i, x in enumerate(self._bases(rng, 200)):
+            x = float(x)
+            e = np.arange(int(rng.integers(1, 2200)))
+            table = _powers(x, e, np.ones(e.size))
+            weights = self._weights(rng, e.size - 1, i % 3)
+            got = _squares(table[1:], x, e[1:], weights)
+            self._check(got, table[1:] ** 2, max(1.0, weights.max()))

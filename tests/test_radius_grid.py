@@ -15,11 +15,13 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
+from bohrlab import functionals  # noqa: E402
 from bohrlab.cli import EXIT_USAGE, STATUS_EXIT, _load_function, main  # noqa: E402
 from bohrlab.functionals import _RADIUS_BLOCK, KINDS, FunctionalKind, Status  # noqa: E402
 from bohrlab.harness import (  # noqa: E402
@@ -43,6 +45,7 @@ from bohrlab.spaces import (  # noqa: E402
     MappingForm,
     SpaceSpec,
     banach_to_json,
+    slice_series,
     unit_vector,
 )
 
@@ -108,9 +111,7 @@ def _documents(draw, kind):
     if source == "file":
         return series_to_json(LacunarySeries(mf, pf, g))
     space = SpaceSpec(draw(st.integers(1, 4)), draw(st.sampled_from([1.0, 2.0, 3.0, math.inf])))
-    # A subnormal entry of u overflows spaces.support_functional: not the subject here.
-    raw = draw(st.lists(_DISK.filter(lambda z: z == 0 or abs(z) > 1e-300),
-                        min_size=space.dim, max_size=space.dim))
+    raw = draw(st.lists(_DISK, min_size=space.dim, max_size=space.dim))
     u = unit_vector([raw[0] + 1.0] + raw[1:], space)
     form = draw(st.sampled_from(list(MappingForm)))
     direction = u if form is MappingForm.VECTOR_VALUED else None
@@ -277,3 +278,135 @@ def test_scan_stops_at_the_first_violated_block(monkeypatch):
     scanned = -(-601 // size)
     assert blocks[:scanned] == [size] * scanned
     assert set(blocks[scanned:]) == {1} and len(blocks) - scanned == 20
+
+
+# -- the normal cut against the exact tables ---------------------------------
+
+
+def _exact_powers(x, exponents, weights=None):
+    """The exact power table on one radius, the reference for the normal cut.
+
+    ``pow`` runs while ``e * log2(x) >= -1100``, below which it returns 0.0.
+    """
+    if not 0.0 < x < 1.0:
+        return x**exponents
+    out = np.zeros(exponents.shape)
+    k = np.searchsorted(exponents, -1100.0 / math.log2(x), side="right")
+    np.power(x, exponents[:k], out=out[:k])
+    return out
+
+
+#: What the normal cut may move a self-map's report by (``functionals._powers``).
+_CUT_BOUND = 2.0**-480
+
+
+def _mobius_mix(rng, T, maps=3):
+    """A convex combination of rotated Mobius maps: a disk self-map, T+1 coefficients."""
+    coeffs = np.zeros(T + 1, dtype=complex)
+    s = np.arange(1, T + 1)
+    for weight in rng.dirichlet(np.ones(maps)):
+        a = 0.98 * math.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
+        turn = np.exp(2j * np.pi * rng.random())
+        coeffs[0] += weight * a
+        coeffs[1:] += weight * (1.0 - abs(a) ** 2) * (-np.conj(a)) ** (s - 1) * turn**s
+    return CoefficientSeries(coeffs, 0.0, Certificate.SCHUR_EXACT)
+
+
+def _monomial(k, modulus=1.0, certificate=Certificate.SCHUR_EXACT):
+    coeffs = np.zeros(k + 1, dtype=complex)
+    coeffs[k] = modulus
+    return CoefficientSeries(coeffs, 0.0, certificate)
+
+
+#: Kinds whose support every full series meets, with m >= 1 and p < 1 cases.
+_FULL_SUPPORT = (
+    FunctionalKind.lacunary(1, 0),
+    FunctionalKind.gap(1, 0),
+    FunctionalKind.rogosinski(2, 2.0, 3),
+    FunctionalKind.rogosinski(3, 1e-12, 1),
+    FunctionalKind.rogosinski_center(0.75, 2),
+    FunctionalKind.improved((8.0 / 9.0,)),
+    FunctionalKind.improved((0.1, 1.0, 20.0)),
+    FunctionalKind.tail_lemma(5),
+)
+
+
+def _oracle_cases():
+    """(kind, f, r) with tables that cross 2**-1022: every tag of KINDS."""
+    rng = np.random.default_rng(24)
+    cases = []
+    # z^k with r^k inside the band (2**-1100, 2**-1022), where the values
+    # are made of subnormal terms alone.
+    for k in (60, 500, 1000, 1500):
+        for log2_rk in (-1023.0, -1050.0, -1099.0):
+            r = 2.0 ** (log2_rk / k)
+            f = LacunarySeries(0, 1, _monomial(k))
+            kinds = _FULL_SUPPORT + (FunctionalKind.gap(4, 1), FunctionalKind.gap(5, 3))
+            cases += [(kind, f, r) for kind in kinds]
+            lacunary = LacunarySeries(1, 2, _monomial(k // 2))
+            cases += [(FunctionalKind.lacunary(2, 1), lacunary, r),
+                      (FunctionalKind.gap(3, 1), lacunary, r)]
+    cases.append((FunctionalKind.gap(1, 0), LacunarySeries(0, 1, _monomial(1000)), 0.49))
+    # T = 1,500 Mobius mixes, lacunary files with p >= 2 and ball maps at moderate r.
+    for _ in range(4):
+        f = LacunarySeries(0, 1, _mobius_mix(rng, 1500))
+        cases += [(kind, f, float(rng.uniform(0.05, 0.6))) for kind in _FULL_SUPPORT]
+    for m, p in ((0, 2), (1, 2), (2, 3)):
+        f = LacunarySeries(m, p, _mobius_mix(rng, 700))
+        for r in rng.uniform(0.05, 0.6, 3):
+            cases += [(FunctionalKind.lacunary(p, m), f, float(r)),
+                      (FunctionalKind.gap(m + p, m), f, float(r))]
+    for q in (1.0, 2.0, 3.0, math.inf):
+        space = SpaceSpec(3, q)
+        u = unit_vector(rng.normal(size=3) + 1j * rng.normal(size=3), space)
+        for form in MappingForm:
+            direction = u if form is MappingForm.VECTOR_VALUED else None
+            ball = BanachFunction(form, space, u, _mobius_mix(rng, 1500), direction=direction)
+            f = LacunarySeries(0, 1, slice_series(ball, ball.u))
+            kinds = (FunctionalKind.gap(1, 0), FunctionalKind.rogosinski_center(1.0, 1))
+            cases += [(kind, f, float(rng.uniform(0.05, 0.6))) for kind in kinds]
+    return cases
+
+
+def test_normal_cut_moves_reports_within_its_bound(monkeypatch):
+    cases = _oracle_cases()
+    assert {kind.tag for kind, _, _ in cases} == set(KINDS)
+    cut = [evaluate_kind(kind, f, r) for kind, f, r in cases]
+    with monkeypatch.context() as exact_tables:
+        exact_tables.setattr(functionals, "_powers", _exact_powers)
+        exact_tables.setattr(functionals, "_squares", lambda table, x, e, weights: table**2)
+        exact = [evaluate_kind(kind, f, r) for kind, f, r in cases]
+    moved = 0
+    for (kind, _, r), got, want in zip(cases, cut, exact):
+        assert got.status is want.status, (kind, r)
+        for field in ("value", "tail_error", "margin"):
+            assert abs(getattr(got, field) - getattr(want, field)) <= _CUT_BOUND, (kind, r)
+        # The cut only drops nonnegative terms.
+        assert got.value <= want.value
+        moved += got != want
+    assert moved  # the band is reached: some report made of subnormal terms moves
+
+
+def test_normal_cut_keeps_large_moduli_and_the_composed_center(monkeypatch):
+    # A modulus above 1 (an UNKNOWN file) moves its own cut down: its tables
+    # keep every entry the exact tables hold.  G_MPN's composed center keeps
+    # the exact table, since |f(r^m)|^p with p < 1 magnifies a subnormal f.
+    cases = []
+    for modulus in (1e20, 1e150, 1e300):
+        f = LacunarySeries(0, 1, _monomial(1000, modulus, Certificate.UNKNOWN))
+        cases += [(kind, f, 0.49) for kind in _FULL_SUPPORT]
+    f = LacunarySeries(0, 1, _monomial(1000))
+    r = 2.0 ** (-1050.0 / 1000)
+    cases += [(FunctionalKind.rogosinski(1, p_exp, 1), f, r) for p_exp in (1e-12, 0.5)]
+
+    def reports():
+        # |c|^2 of 1e300 is inf, and inf * 0.0 NaN, on both sides.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return [repr(evaluate_kind(kind, f, r)) for kind, f, r in cases]
+
+    cut = reports()
+    with monkeypatch.context() as exact_tables:
+        exact_tables.setattr(functionals, "_powers", _exact_powers)
+        exact_tables.setattr(functionals, "_squares", lambda table, x, e, weights: table**2)
+        assert cut == reports()
+    assert evaluate_kind(*cases[-2]).value == pytest.approx(1.0, abs=1e-9)
