@@ -16,13 +16,6 @@ from .functionals import (
     SupportError,
     c_constant,
     constraint_check,
-    eval_gap_sum,
-    eval_improved_bohr,
-    eval_lacunary_sum,
-    eval_rogosinski,
-    eval_rogosinski_center,
-    lemma_tail_bound_check,
-    s_star,
 )
 from .harness import (
     CampaignSummary,
@@ -31,6 +24,7 @@ from .harness import (
     WitnessNotFoundError,
     WitnessReport,
     empirical_radius,
+    evaluate_grid,
     evaluate_kind,
     proof_extremal,
     random_campaign,

@@ -346,7 +346,7 @@ def _run_verify(args) -> int:
         report = evaluate_kind(kind, fdesc, args.r)
     except (ValueError, TypeError) as exc:
         raise _UsageError(str(exc))
-    params = ";".join(f"{k}={v}" for k, v in kind.params().items())
+    params = ";".join(f"{k}={v}" for k, v in report.params.items())
     row = [kind.tag.value, params, args.r, report.value, report.tail_error, report.margin]
     _write(args, ["kind", "params", "r", "value", "tail_error", "margin"], [row],
            report.to_json())

@@ -16,9 +16,9 @@ those helpers, and every evaluation runs it.  The scalar path is a batch of
 one: a single function checks the radius (every kind admits
 0 <= r < MAX_EVAL_RADIUS) and the kind's support, runs the row on the
 series' own arrays and builds the report.  ``harness.evaluate_kind`` and
-the public ``eval_*`` functions, which build their kind and so have its
-parameters checked, both call it; randomized campaigns pass a (T+1, trials)
-batch, one column per trial, through the same rows.
+``harness.evaluate_grid``, the one public way to evaluate a kind, call it;
+randomized campaigns pass a (T+1, trials) batch, one column per trial,
+through the same rows.
 The composed center of G_MPN is the only formula that reads the complex
 coefficients: |f(w(r))|^p at w = lam^m, the sharp case of Schwarz's lemma.
 
@@ -53,11 +53,12 @@ energy^i) stays one libm ``pow`` per radius: :class:`_RadiusAxis` takes its
 powers entry by entry.  Where a radius's squared sum is empty (r = 0, or r^m
 underflows) its bracket is not used, and each radius decides that alone.
 
-The gap-sum evaluator also accepts an index shift for its squared block.
-One of the norm-type statements indexes that block at ``s + m`` while the
-linear block runs over ``s >= N``; the shift reproduces that asymmetric
-indexing verbatim.  It is not a kind parameter: no campaign, sharp radius
-or witness runs that variant.
+D_NM's row also accepts an index shift for its squared block, the
+``squared_shift`` keyword of ``harness.evaluate_kind``.  One of the
+norm-type statements indexes that block at ``s + m`` while the linear block
+runs over ``s >= N``; the shift reproduces that asymmetric indexing
+verbatim.  It is not a kind parameter: no campaign, sharp radius or witness
+runs that variant.
 """
 
 from __future__ import annotations
@@ -93,13 +94,6 @@ __all__ = [
     "SupportError",
     "c_constant",
     "constraint_check",
-    "eval_improved_bohr",
-    "eval_gap_sum",
-    "eval_lacunary_sum",
-    "eval_rogosinski",
-    "eval_rogosinski_center",
-    "lemma_tail_bound_check",
-    "s_star",
 ]
 
 _SUPPORT_TOL = 1e-12
@@ -418,7 +412,13 @@ def _power_sum(x, exponents: np.ndarray, weights: np.ndarray):
 
 
 def _lacunary_terms(mods, bound, p: int, m: int, r: float):
-    """Refined sum of lam^m g(lam^p) from the moduli of ``g``; tails geometric in r^p."""
+    """A_PM: the refined sum of a slice supported on ``{s*p + m}``, from the moduli of g.
+
+    value = sum_s |g_s| r^(sp+m)
+          + (1/(r^m + |g_0| r^m) + r^(p-m)/(1-r^p)) * sum_{s>=1} |g_s|^2 r^(2(sp+m))
+
+    of f = lam^m g(lam^p), with lacunary-aware tails (geometric in r^p).
+    """
     T = mods.shape[0] - 1
     rp = r**p
     rm = r**m
@@ -435,7 +435,17 @@ def _lacunary_terms(mods, bound, p: int, m: int, r: float):
 
 
 def _gap_terms(mods, bound, m: int, n: int, r: float, squared_shift: int = 0):
-    """Refined sum over the support {m} | {s >= N}; see :func:`eval_gap_sum`."""
+    """D_NM: the refined sum of a slice supported on ``{m} union {s >= N}``.
+
+    value = |P_m| + sum_{s>=N} |P_s|
+          + (1/(r^m + |P_m|) + r^(1-m)/(1-r)) * sum_{s>=N} |P_{s+shift}|^2
+
+    with |P_s| = |c_s| r^s.  ``squared_shift`` reproduces the asymmetric
+    squared-block indexing of the norm-type statement (shift = m); the
+    default 0 is the plain refined gap sum.  At r = 0 every series term
+    vanishes and the base term alone is returned; the bracket is never
+    formed when its sum is empty, so no division occurs.
+    """
     T = mods.shape[0] - 1
     pm = (mods[m] if m <= T else 0.0) * r**m
     linear = pm + _power_sum(r, np.arange(n, T + 1, dtype=float), mods[n:])
@@ -457,8 +467,10 @@ def _bracketed(linear, lin_tail, sq, sq_tail, bracket):
     r^m underflows.  There the bracket may be infinite or undefined, so it
     is formed only if some entry needs it, and an empty entry keeps its
     linear sums: each radius of a grid decides for itself, as it does alone.
+    A NaN sum or tail is not empty: it reaches the value, whose NaN margin
+    fails closed.
     """
-    full = sq + sq_tail > 0.0
+    full = sq + sq_tail != 0.0
     # One radius gives a 0-d flag, and bool() tests it in a fraction of the
     # time .all() and .any() take.
     if bool(full) if full.ndim == 0 else full.all():
@@ -473,7 +485,17 @@ def _bracketed(linear, lin_tail, sq, sq_tail, bracket):
 
 
 def _rogosinski_terms(mods, bound, n: int, r: float, head, head_err):
-    """``head`` plus the tail sums of :func:`eval_rogosinski`, t = floor((N-1)/2)."""
+    """G_MPN and H_PN: a center term ``head`` plus tail sums, with t = floor((N-1)/2):
+
+    value = head + sum_{s>=N} |P_s|
+          + sgn(t) sum_{s=1..t} |P_s|^2 r^(N-2s)/(1-r)
+          + (1/(1+|f(0)|) + r/(1-r)) sum_{s>t} |P_s|^2
+
+    G_MPN's head is |f(w(r))|^p with w = lam^m, the sharp case of Schwarz's
+    lemma |w(lam)| <= |lam|^m for an order-m Schwarz map
+    (:func:`_composed_center`).  H_PN is the order-infinity limit: the head
+    collapses to |f(0)|^p.
+    """
     T = mods.shape[0] - 1
     linear = _power_sum(r, np.arange(n, T + 1, dtype=float), mods[n:])
     lin_tail = weighted_tail(bound, r, T, TailWeight.LINEAR)
@@ -514,7 +536,10 @@ def _composed_center(coeffs, bound, m: int, p_exp: float, r: float):
 
 
 def _energy(mods, bound, r: float):
-    """Weighted coefficient energy ``sum_s s |P_s|^2`` and its S_STAR tail."""
+    """The weighted coefficient energy S* = ``sum_{s>=1} s |P_s|^2`` and its S_STAR tail.
+
+    ``head + tail`` bounds S* from above.
+    """
     T = mods.shape[0] - 1
     s = np.arange(1, T + 1, dtype=float)
     weights = s.reshape(s.shape + (1,) * (mods.ndim - 1))  # s down the degree axis
@@ -523,7 +548,13 @@ def _energy(mods, bound, r: float):
 
 
 def _improved_terms(mods, bound, d: Sequence[float], r: float):
-    """Refined sum at m = 0, N = 1 plus ``G(S*) = sum_i d_i S*^i``."""
+    """I_M: the refined sum plus the polynomial ``G(t) = sum_i d_i t^i`` of the energy.
+
+    value = [refined sum with m = 0, N = 1] + G(S*)
+
+    with S* the weighted coefficient energy (:func:`_energy`).  The kind's
+    weights pass :func:`constraint_check`.
+    """
     value, tail = _gap_terms(mods, bound, 0, 1, r)
     energy, energy_tail = _energy(mods, bound, r)
     g_val = 0.0
@@ -537,7 +568,18 @@ def _improved_terms(mods, bound, d: Sequence[float], r: float):
 
 
 def _lemma_lhs(mods, bound, n: int, r: float):
-    """The refined tail bound's LHS, its tail certificates included, and a zero tail."""
+    """LEMMA_TAIL: the tail bound's LHS, tail certificates included, and a zero tail.
+
+    With t = floor((N-1)/2),
+
+    LHS = sum_{s>=N} |P_s| + sgn(t) sum_{s=1..t} |P_s|^2 r^(N-2s)/(1-r)
+        + (1/(1+|f(0)|) + r/(1-r)) sum_{s>t} |P_s|^2
+    RHS = (1 - |f(0)|^2) r^N / (1 - r),
+
+    the kind's comparison level.  The report's margin is LHS - RHS, and
+    the bound holds where it is <= 0 up to roundoff: the truncation
+    certificates are already charged to the LHS.
+    """
     value, tail = _rogosinski_terms(mods, bound, n, r, 0.0, 0.0)
     return value + tail, np.zeros_like(value)
 
@@ -557,8 +599,8 @@ def _evaluate(
 
     A lacunary kind reads ``g`` of ``f = lam^m g(lam^p)``; every other kind
     reads ``f`` itself, whose coefficients must vanish off the kind's
-    support.  ``variant`` (only :func:`eval_gap_sum`'s nonzero
-    ``squared_shift``) goes to the row and into the report's parameters.
+    support.  ``variant`` (only D_NM's nonzero ``squared_shift``) goes to
+    the row and into the report's parameters, after the kind's own.
     The input's class certificate makes the verdict meaningful.
 
     The reports come lazily, in order, one formula pass per block of radii:
@@ -581,9 +623,7 @@ def _evaluate(
                 f"coefficient c_{s} = {mods[s]!r} violates the support "
                 f"{{{m}}} | {{s >= {n}}}"
             )
-    params = {name: getattr(kind, name) for name in spec.params}
-    if kind.d is not None:
-        params["d"] = list(kind.d)
+    params = kind.params()
     params.update(variant)
     function = f"{shape}T={g.truncation_order}, cert={g.certificate.value})"
     certified = g.certificate is not Certificate.UNKNOWN
@@ -603,103 +643,6 @@ def _evaluate(
 def _entries(x, count: int) -> list[float]:
     """The ``count`` floats of a block's result: one per radius, or one for all."""
     return x.tolist() if getattr(x, "ndim", 0) else [float(x)] * count
-
-
-# ---------------------------------------------------------------------------
-# Public evaluators: each builds its kind, which checks the parameters.
-# ---------------------------------------------------------------------------
-
-
-def eval_lacunary_sum(f: LacunarySeries, r: float) -> EvaluationReport:
-    """Refined sum for a slice supported on ``{s*p + m}``.
-
-    value = sum_s |g_s| r^(sp+m)
-          + (1/(r^m + |g_0| r^m) + r^(p-m)/(1-r^p)) * sum_{s>=1} |g_s|^2 r^(2(sp+m))
-
-    evaluated with lacunary-aware tails (geometric in r^p).
-    """
-    return next(_evaluate(FunctionalKind.lacunary(f.p, f.m), f, [r]))
-
-
-def eval_gap_sum(
-    f: CoefficientSeries,
-    m: int,
-    n: int,
-    r: float,
-    squared_shift: int = 0,
-) -> EvaluationReport:
-    """Refined sum for a slice supported on ``{m} union {s >= N}``.
-
-    value = |P_m| + sum_{s>=N} |P_s|
-          + (1/(r^m + |P_m|) + r^(1-m)/(1-r)) * sum_{s>=N} |P_{s+shift}|^2
-
-    with |P_s| = |c_s| r^s.  ``squared_shift`` reproduces the asymmetric
-    squared-block indexing of the norm-type statement (shift = m); the
-    default 0 is the plain refined gap sum.  At r = 0 every series term
-    vanishes and the base term alone is returned; the bracket is never
-    formed when its sum is empty, so no division occurs.
-    """
-    kind = FunctionalKind.gap(n, m)
-    if squared_shift < 0:
-        raise ValueError("squared_shift must be >= 0")
-    variant = {"squared_shift": squared_shift} if squared_shift else {}
-    return next(_evaluate(kind, f, [r], **variant))
-
-
-def eval_rogosinski(
-    f: CoefficientSeries, schwarz_order: int, p_exp: float, n: int, r: float
-) -> EvaluationReport:
-    """Composed center term plus tail sums, with t = floor((N-1)/2):
-
-    value = |f(w(r))|^p + sum_{s>=N} |P_s|
-          + sgn(t) sum_{s=1..t} |P_s|^2 r^(N-2s)/(1-r)
-          + (1/(1+|f(0)|) + r/(1-r)) sum_{s>t} |P_s|^2
-
-    with w = lam^schwarz_order, the sharp case of Schwarz's lemma
-    |w(lam)| <= |lam|^order for an order-``schwarz_order`` Schwarz map.
-    """
-    return next(_evaluate(FunctionalKind.rogosinski(schwarz_order, p_exp, n), f, [r]))
-
-
-def eval_rogosinski_center(
-    f: CoefficientSeries, p_exp: float, n: int, r: float
-) -> EvaluationReport:
-    """The order-infinity limit: the composed center collapses to |f(0)|^p."""
-    return next(_evaluate(FunctionalKind.rogosinski_center(p_exp, n), f, [r]))
-
-
-def eval_improved_bohr(
-    f: CoefficientSeries, d: Sequence[float], r: float
-) -> EvaluationReport:
-    """Refined sum plus the polynomial ``G(t) = sum d_i t^i`` of the energy.
-
-    value = [refined sum with m = 0, N = 1] + G(S*) where S* is the weighted
-    coefficient energy; requires :func:`constraint_check` to pass.
-    """
-    return next(_evaluate(FunctionalKind.improved(d), f, [r]))
-
-
-def lemma_tail_bound_check(f: CoefficientSeries, n: int, r: float) -> float:
-    """Conservative slack of the refined tail bound at radius ``r``.
-
-    Returns RHS - (LHS + LHS tail certificates), the negated margin of the
-    LEMMA_TAIL report, where, with t = floor((N-1)/2),
-
-    LHS = sum_{s>=N} |P_s| + sgn(t) sum_{s=1..t} |P_s|^2 r^(N-2s)/(1-r)
-        + (1/(1+|f(0)|) + r/(1-r)) sum_{s>t} |P_s|^2
-    RHS = (1 - |f(0)|^2) r^N / (1 - r).
-
-    The contract is slack >= 0 up to roundoff: the truncation certificates
-    are already charged against the slack.
-    """
-    return -next(_evaluate(FunctionalKind.tail_lemma(n), f, [r])).margin
-
-
-def s_star(f: CoefficientSeries, r: float) -> float:
-    """Weighted coefficient energy ``sum_s s |P_s(z)|^2`` with its tail added."""
-    r = _check_radius(r)
-    head, tail = _energy(f.moduli_array, f.coefficient_bound, r)
-    return float(head + tail)
 
 
 def c_constant(s: int) -> float:

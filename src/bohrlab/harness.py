@@ -71,11 +71,6 @@ from .series import (
     schur_from_parameters,
 )
 
-# Bound here by name too: bench/tracer.py wraps every binding of a traced
-# function, and bench/test_bench.py checks these two.
-from .functionals import eval_lacunary_sum  # noqa: F401
-from .radii import maximal_root  # noqa: F401
-
 __all__ = [
     "CampaignSummary",
     "NO_CROSSING",
@@ -159,30 +154,42 @@ def evaluate_kind(
     kind: FunctionalKind,
     f: CoefficientSeries | LacunarySeries,
     r: float,
+    squared_shift: int = 0,
 ) -> EvaluationReport:
     """Evaluate one functional kind on a slice at radius ``r``.
 
-    A_PM takes the lacunary structure; the remaining kinds evaluate the
-    expanded series.  The kind's formula row runs on the series' own arrays
-    (see ``functionals._evaluate``).  For LEMMA_TAIL the report's margin is
-    taken against the bound's right side instead of 1, so margin <= 0 still
-    means "holds".
+    This and :func:`evaluate_grid` are the one public way to evaluate a
+    kind.  A_PM takes the lacunary structure; the remaining kinds evaluate
+    the expanded series.  The kind's formula row runs on the series' own
+    arrays (see ``functionals._evaluate``).  For LEMMA_TAIL the report's
+    margin is taken against the bound's right side instead of 1, so
+    margin <= 0 still means "holds".
+
+    ``squared_shift`` >= 0 indexes D_NM's squared block at ``s + shift``,
+    the asymmetric indexing of the norm-type statement (shift = m); a
+    nonzero shift joins the report's parameters, and the other kinds' rows
+    take none (TypeError).
     """
-    return next(evaluate_grid(kind, f, [r]))
+    return next(evaluate_grid(kind, f, [r], squared_shift))
 
 
 def evaluate_grid(
     kind: FunctionalKind,
     f: CoefficientSeries | LacunarySeries,
     radii: list[float],
+    squared_shift: int = 0,
 ) -> Iterator[EvaluationReport]:
     """The report of :func:`evaluate_kind` at each of ``radii``, lazily and in order.
 
     The formula row runs once per block of radii, and each report equals
     ``evaluate_kind`` at its radius byte for byte.  A radius that breaks the
-    evaluation-radius rule raises RadiusError before any report.
+    evaluation-radius rule raises RadiusError before any report, and a
+    negative ``squared_shift`` raises ValueError at the call.
     """
-    return _evaluate(kind, _kind_input(kind, f), radii)
+    if squared_shift < 0:
+        raise ValueError("squared_shift must be >= 0")
+    variant = {"squared_shift": squared_shift} if squared_shift else {}
+    return _evaluate(kind, _kind_input(kind, f), radii, **variant)
 
 
 def _kind_input(kind: FunctionalKind, f: CoefficientSeries | LacunarySeries):

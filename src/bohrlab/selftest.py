@@ -14,15 +14,11 @@ from typing import Callable, Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .functionals import (
-    FunctionalKind,
-    c_constant,
-    constraint_check,
-    eval_gap_sum,
-    eval_lacunary_sum,
-)
+from .functionals import FunctionalKind, c_constant, constraint_check
 from .harness import (
     empirical_radius,
+    evaluate_grid,
+    evaluate_kind,
     proof_extremal,
     random_campaign,
     sharpness_witness,
@@ -96,20 +92,20 @@ def check_extremal_closed_forms() -> tuple[bool, str]:
     T = default_truncation(max(grid))
     worst = 0.0
     for p, m in ((1, 0), (2, 1), (3, 2)):
+        kind = FunctionalKind.lacunary(p, m)
         for a in grid:
             fam = LacunarySeries(m, p, mobius_minus_series(a, T))
-            for r in grid:
-                value = eval_lacunary_sum(fam, r).value
+            for r, report in zip(grid, evaluate_grid(kind, fam, grid)):
                 rp = r**p
                 expected = r**m * (a + (1.0 - a * a) * rp / (1.0 - rp))
-                worst = max(worst, abs(value - expected))
+                worst = max(worst, abs(report.value - expected))
     for m in (0, 1, 2):
+        kind = FunctionalKind.gap(m + 1, m)
         for a in grid:
             series = lacunary_expand(m, 1, mobius_minus_series(a, T))
-            for r in grid:
-                value = eval_gap_sum(series, m, m + 1, r).value
+            for r, report in zip(grid, evaluate_grid(kind, series, grid)):
                 expected = r**m * (a + (1.0 - a * a) * r / (1.0 - r))
-                worst = max(worst, abs(value - expected))
+                worst = max(worst, abs(report.value - expected))
     return worst <= 1e-9, f"max |value - closed form| = {worst:.3e}"
 
 
@@ -228,6 +224,8 @@ def check_banach_reduction() -> tuple[bool, str]:
     worst_eval = 0.0
     worst_ident = 0.0
     T = 150
+    gap = FunctionalKind.gap(2, 1)
+    lacunary = FunctionalKind.lacunary(2, 1)
     for q in (1.5, 2.0, 3.0):
         for n in (2, 5):
             spec = SpaceSpec(n, q)
@@ -249,8 +247,8 @@ def check_banach_reduction() -> tuple[bool, str]:
             f_vec = BanachFunction(
                 MappingForm.VECTOR_VALUED, spec, u, h_gap, spec, direction
             )
-            via = eval_gap_sum(slice_series(f_vec, u), 1, 2, r).value
-            direct = eval_gap_sum(h_gap, 1, 2, r).value
+            via = evaluate_kind(gap, slice_series(f_vec, u), r).value
+            direct = evaluate_kind(gap, h_gap, r).value
             worst_eval = max(worst_eval, abs(via - direct))
 
             # Functional type on the lacunary shape {2s + 1}.
@@ -259,15 +257,15 @@ def check_banach_reduction() -> tuple[bool, str]:
                 MappingForm.VECTOR_VALUED, spec, u, h_lac, spec, direction
             )
             got = _read_lacunary(slice_series(f_vec2, u), 1, 2, g.truncation_order)
-            via = eval_lacunary_sum(got, r).value
-            direct_lac = eval_lacunary_sum(LacunarySeries(1, 2, g), r).value
+            via = evaluate_kind(lacunary, got, r).value
+            direct_lac = evaluate_kind(lacunary, LacunarySeries(1, 2, g), r).value
             worst_eval = max(worst_eval, abs(via - direct_lac))
 
             # Norm type: z * h(T_u(z)); the slice's moduli are the term norms.
             f_norm = BanachFunction(MappingForm.Z_TIMES_SCALAR, spec, u, g)
             sliced = slice_series(f_norm, u)
-            via = eval_gap_sum(sliced, 1, 2, r, squared_shift=1).value
-            direct = eval_gap_sum(lacunary_expand(1, 1, g), 1, 2, r, squared_shift=1).value
+            via = evaluate_kind(gap, sliced, r, squared_shift=1).value
+            direct = evaluate_kind(gap, lacunary_expand(1, 1, g), r, squared_shift=1).value
             worst_eval = max(worst_eval, abs(via - direct))
 
             # Norm type on the lacunary shape: h = lam^(m-1) G(lam^p) with m = 1.
@@ -275,7 +273,7 @@ def check_banach_reduction() -> tuple[bool, str]:
                 MappingForm.Z_TIMES_SCALAR, spec, u, lacunary_expand(0, 2, g)
             )
             got = _read_lacunary(slice_series(f_norm2, u), 1, 2, g.truncation_order)
-            via = eval_lacunary_sum(got, r).value
+            via = evaluate_kind(lacunary, got, r).value
             worst_eval = max(worst_eval, abs(via - direct_lac))
     ok = worst_eval <= 1e-12 and worst_ident <= 1e-12
     return ok, (

@@ -15,17 +15,11 @@ from bohrlab.functionals import (
     _RadiusAxis,
     _powers,
     _squares,
+    _energy,
     c_constant,
     constraint_check,
-    eval_gap_sum,
-    eval_improved_bohr,
-    eval_lacunary_sum,
-    eval_rogosinski,
-    eval_rogosinski_center,
-    lemma_tail_bound_check,
-    s_star,
 )
-from bohrlab.harness import evaluate_kind
+from bohrlab.harness import evaluate_grid, evaluate_kind
 from bohrlab.radii import RadiusEquation, maximal_root, unique_root
 from bohrlab.series import (
     Certificate,
@@ -66,14 +60,14 @@ class TestLacunarySum:
         for a in (0.1, 0.5, 0.9):
             fam = LacunarySeries(m, p, mobius_minus_series(a, T))
             for r in (0.2, 0.55, 0.85):
-                rep = eval_lacunary_sum(fam, r)
+                rep = evaluate_kind(FunctionalKind.lacunary(p, m), fam, r)
                 rp = r**p
                 expected = r**m * (a + (1 - a * a) * rp / (1 - rp))
                 assert rep.value == pytest.approx(expected, abs=1e-9)
 
     def test_degenerate_constant_outer(self):
         one = CoefficientSeries((1.0 + 0j,), 0.0, Certificate.SCHUR_EXACT)
-        rep = eval_lacunary_sum(LacunarySeries(2, 3, one), 0.7)
+        rep = evaluate_kind(FunctionalKind.lacunary(3, 2), LacunarySeries(2, 3, one), 0.7)
         assert rep.value == pytest.approx(0.49)
         assert rep.tail_error == 0.0
         assert rep.margin <= 0.0
@@ -81,13 +75,13 @@ class TestLacunarySum:
     def test_random_instance_at_theorem_radius(self):
         fam = LacunarySeries(1, 2, _random_schur(42))
         r0 = maximal_root(RadiusEquation.refined_lacunary(2, 1))
-        rep = eval_lacunary_sum(fam, r0)
+        rep = evaluate_kind(FunctionalKind.lacunary(2, 1), fam, r0)
         assert rep.margin <= 0.0
 
     def test_hypothesis_range_enforced(self):
         fam = LacunarySeries(3, 2, mobius_minus_series(0.5, 10))  # m > p
         with pytest.raises(ValueError):
-            eval_lacunary_sum(fam, 0.4)
+            evaluate_kind(FunctionalKind.lacunary(2, 3), fam, 0.4)
 
     def test_kind_needs_positive_gap(self):
         with pytest.raises(ValueError, match="p >= 1"):
@@ -96,16 +90,17 @@ class TestLacunarySum:
     def test_radius_rejection(self):
         fam = LacunarySeries(0, 1, mobius_minus_series(0.5, 10))
         with pytest.raises(RadiusError):
-            eval_lacunary_sum(fam, 0.995)
+            evaluate_kind(FunctionalKind.lacunary(1, 0), fam, 0.995)
         # r = 0 is admitted, as by every evaluator: only |g_0| is left
-        rep = eval_lacunary_sum(fam, 0.0)
+        rep = evaluate_kind(FunctionalKind.lacunary(1, 0), fam, 0.0)
         assert (rep.value, rep.tail_error, rep.margin) == (0.5, 0.0, -0.5)
 
     def test_truncation_certificate_is_honest(self):
         # a short truncation's value + tail must cover the long evaluation
         a, p, m, r = 0.85, 2, 1, 0.8
-        short = eval_lacunary_sum(LacunarySeries(m, p, mobius_minus_series(a, 40)), r)
-        long = eval_lacunary_sum(LacunarySeries(m, p, mobius_minus_series(a, 2000)), r)
+        kind = FunctionalKind.lacunary(p, m)
+        short = evaluate_kind(kind, LacunarySeries(m, p, mobius_minus_series(a, 40)), r)
+        long = evaluate_kind(kind, LacunarySeries(m, p, mobius_minus_series(a, 2000)), r)
         assert long.value <= short.value + short.tail_error
         assert short.value <= long.value + 1e-15
 
@@ -117,40 +112,40 @@ class TestGapSum:
         for a in (0.2, 0.6):
             series = lacunary_expand(m, 1, mobius_minus_series(a, T))
             for r in (0.3, 0.7):
-                rep = eval_gap_sum(series, m, m + 1, r)
+                rep = evaluate_kind(FunctionalKind.gap(m + 1, m), series, r)
                 expected = r**m * (a + (1 - a * a) * r / (1 - r))
                 assert rep.value == pytest.approx(expected, abs=1e-9)
 
     def test_only_base_term(self):
         s = CoefficientSeries((0j, 1.0 + 0j), 0.0, Certificate.SCHUR_EXACT)
-        rep = eval_gap_sum(s, 1, 2, 0.4)
+        rep = evaluate_kind(FunctionalKind.gap(2, 1), s, 0.4)
         assert rep.value == pytest.approx(0.4)
 
     def test_corollary_at_one_third(self):
         for a in np.arange(0.1, 0.95, 0.1):
-            rep = eval_gap_sum(mobius_series(float(a), 200), 0, 1, 1 / 3)
+            rep = evaluate_kind(FunctionalKind.gap(1, 0), mobius_series(float(a), 200), 1 / 3)
             assert rep.margin <= 1e-15
 
     def test_constant_function_sums_exactly(self):
         # a constant disk map contributes only its modulus, with zero tail
         f = schur_from_parameters([0.37 + 0j, 0j, 0j, 0j], 30)
-        rep = eval_gap_sum(f, 0, 1, 0.8)
+        rep = evaluate_kind(FunctionalKind.gap(1, 0), f, 0.8)
         assert rep.value == 0.37
         assert rep.tail_error == 0.0
 
     def test_zero_radius_returns_base_term_only(self):
         f = mobius_series(0.5, 60)
-        assert eval_gap_sum(f, 0, 1, 0.0).value == 0.5
+        assert evaluate_kind(FunctionalKind.gap(1, 0), f, 0.0).value == 0.5
         shifted = lacunary_expand(2, 1, mobius_minus_series(0.5, 60))
-        assert eval_gap_sum(shifted, 2, 3, 0.0).value == 0.0
+        assert evaluate_kind(FunctionalKind.gap(3, 2), shifted, 0.0).value == 0.0
 
     def test_underflowing_radius_forms_no_bracket(self):
         # r^m underflows to 0: the squared block is empty and its bracket,
         # which divides by r^m and r^(m-1), is never formed
         shifted = lacunary_expand(3, 1, mobius_minus_series(0.5, 60))
-        assert eval_gap_sum(shifted, 3, 4, 1e-200).value == 0.0
+        assert evaluate_kind(FunctionalKind.gap(4, 3), shifted, 1e-200).value == 0.0
         lac = LacunarySeries(2, 2, mobius_minus_series(0.5, 60))
-        assert eval_lacunary_sum(lac, 1e-200).value == 0.0
+        assert evaluate_kind(FunctionalKind.lacunary(2, 2), lac, 1e-200).value == 0.0
 
     def test_short_series_at_underflowing_radius_is_finite(self):
         # r^m underflows past 1/r^m's range while the dropped squared terms
@@ -158,7 +153,7 @@ class TestGapSum:
         f = CoefficientSeries((0j,), 1.0, Certificate.SCHUR_EXACT)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rep = eval_gap_sum(f, 31, 32, 1e-10)
+            rep = evaluate_kind(FunctionalKind.gap(32, 31), f, 1e-10)
         assert math.isfinite(rep.value) and math.isfinite(rep.margin)
         assert rep.tail_error >= 1e-10  # the dropped c_31 and c_s, s >= 32
 
@@ -176,20 +171,21 @@ class TestGapSum:
             if m < length:
                 coeffs[m] = 0.9 * rng.random() * np.exp(2j * np.pi * rng.random())
             padded = coeffs + [0j] * (n + 3 - length)
-            short = eval_gap_sum(CoefficientSeries(coeffs, bound), m, n, r).margin
-            long = eval_gap_sum(CoefficientSeries(padded, bound), m, n, r).margin
+            kind = FunctionalKind.gap(n, m)
+            short = evaluate_kind(kind, CoefficientSeries(coeffs, bound), r).margin
+            long = evaluate_kind(kind, CoefficientSeries(padded, bound), r).margin
             assert short >= long, (m, n, length, r, bound)
 
     def test_parameters_obey_the_kind_cap(self):
-        # the evaluator builds its kind, so direct calls obey the CLI's cap
+        # the kind checks its parameters, so library calls obey the CLI's cap
         f = CoefficientSeries((0.5 + 0j,), 0.0)
         with pytest.raises(ValueError, match="^parameter n exceeds the cap 64$"):
-            eval_gap_sum(f, 0, 100, 0.3)
+            evaluate_kind(FunctionalKind.gap(100, 0), f, 0.3)
 
     def test_support_violation(self):
         s = CoefficientSeries((0.1 + 0j, 0.2 + 0j, 0.3 + 0j), 0.0)
         with pytest.raises(SupportError):
-            eval_gap_sum(s, 0, 2, 0.5)  # c_1 is outside {0} | {s >= 2}
+            evaluate_kind(FunctionalKind.gap(2, 0), s, 0.5)  # c_1 is outside {0} | {s >= 2}
 
     def test_squared_shift_indexing(self):
         # support {1} | {2, 3}; the shifted squared block reads index s + 1
@@ -198,19 +194,28 @@ class TestGapSum:
         r = 0.5
         base = c1 * r + c2 * r**2 + c3 * r**3
         bracket = 1.0 / (r + c1 * r) + 1.0 / (1 - r)
-        plain = eval_gap_sum(s, 1, 2, r)
+        plain = evaluate_kind(FunctionalKind.gap(2, 1), s, r)
         assert plain.value == pytest.approx(
             base + bracket * (c2**2 * r**4 + c3**2 * r**6), abs=1e-14
         )
-        shifted = eval_gap_sum(s, 1, 2, r, squared_shift=1)
+        shifted = evaluate_kind(FunctionalKind.gap(2, 1), s, r, squared_shift=1)
         assert shifted.value == pytest.approx(
             base + bracket * (c3**2 * r**6), abs=1e-14
         )
+        assert list(shifted.params.items()) == [("m", 1), ("n", 2), ("squared_shift", 1)]
+
+    def test_negative_shift_raises_before_any_report(self):
+        s = lacunary_expand(1, 1, _random_schur(7))
+        kind = FunctionalKind.gap(2, 1)
+        with pytest.raises(ValueError, match="^squared_shift must be >= 0$"):
+            evaluate_kind(kind, s, 0.5, squared_shift=-1)
+        with pytest.raises(ValueError, match="^squared_shift must be >= 0$"):
+            evaluate_grid(kind, s, [0.3, 0.5], squared_shift=-1)
 
     def test_shifted_sum_never_exceeds_plain(self):
         series = lacunary_expand(1, 1, _random_schur(7))
-        plain = eval_gap_sum(series, 1, 2, 0.55)
-        shifted = eval_gap_sum(series, 1, 2, 0.55, squared_shift=1)
+        plain = evaluate_kind(FunctionalKind.gap(2, 1), series, 0.55)
+        shifted = evaluate_kind(FunctionalKind.gap(2, 1), series, 0.55, squared_shift=1)
         assert shifted.value <= plain.value + 1e-15
 
 
@@ -219,11 +224,11 @@ class TestRogosinski:
         # with w = lam^m the center term is |F(r^m)|^p
         f = mobius_series(0.5, 300)
         m, p_exp, n, r = 2, 1.5, 2, 0.45
-        rep = eval_rogosinski(f, m, p_exp, n, r)
+        rep = evaluate_kind(FunctionalKind.rogosinski(m, p_exp, n), f, r)
         center = (0.5 + r**m) / (1 + 0.5 * r**m)
         tail_piece = rep.value - center**p_exp
         assert tail_piece > 0.0
-        rep_zero = eval_rogosinski_center(f, p_exp, n, r)
+        rep_zero = evaluate_kind(FunctionalKind.rogosinski_center(p_exp, n), f, r)
         assert rep.value - tail_piece == pytest.approx(center**p_exp, abs=1e-12)
         assert rep_zero.value - (rep.value - center**p_exp) == pytest.approx(
             0.5**p_exp, abs=1e-12
@@ -244,7 +249,7 @@ class TestRogosinski:
         for seed in range(40):
             f = _random_schur(seed)
             for p_exp in (0.5, 1.0, 1.7, 2.0):  # the evaluator admits (0, 2]
-                eval_rogosinski_center(f, p_exp, 2, 0.3)
+                evaluate_kind(FunctionalKind.rogosinski_center(p_exp, 2), f, 0.3)
                 head, head_err = centers.pop()
                 assert head == f.moduli_array[0] ** p_exp
                 assert head_err == 0.0
@@ -253,8 +258,8 @@ class TestRogosinski:
         # N = 1 gives t = 0: value reduces to center + refined sum pieces
         f = mobius_series(0.4, 200)
         r = 0.3
-        rep = eval_rogosinski_center(f, 1.0, 1, r)
-        gap = eval_gap_sum(f, 0, 1, r)
+        rep = evaluate_kind(FunctionalKind.rogosinski_center(1.0, 1), f, r)
+        gap = evaluate_kind(FunctionalKind.gap(1, 0), f, r)
         assert rep.value == pytest.approx(gap.value, abs=1e-14)
 
     def test_extremal_identity_against_closed_form(self):
@@ -265,7 +270,7 @@ class TestRogosinski:
         t = (n - 1) // 2
         for a in (0.9, 0.999):
             T = default_truncation(r)
-            rep = eval_rogosinski(mobius_series(a, T), m, p_exp, n, r)
+            rep = evaluate_kind(FunctionalKind.rogosinski(m, p_exp, n), mobius_series(a, T), r)
             head = ((a + r**m) / (1 + a * r**m)) ** p_exp
             psi = (head - 1.0) / (1.0 - a)
             psi += (1 + a) * r**n * a ** (n - 1) / (1 - a * r)
@@ -290,27 +295,33 @@ class TestRogosinski:
     def test_corollary_radii(self):
         for a in np.arange(0.05, 0.99, 0.05):
             f = mobius_series(float(a), 200)
-            assert eval_rogosinski_center(f, 1.0, 1, 1 / 3).margin <= 1e-15
-            assert eval_rogosinski_center(f, 2.0, 1, 1 / 2).margin <= 1e-15
+            assert evaluate_kind(FunctionalKind.rogosinski_center(1.0, 1), f, 1 / 3).margin <= 1e-15
+            assert evaluate_kind(FunctionalKind.rogosinski_center(2.0, 1), f, 1 / 2).margin <= 1e-15
 
     def test_constant_center(self):
         f = CoefficientSeries((0.6 + 0j,), 0.0, Certificate.SCHUR_EXACT)
         for p_exp in (0.5, 1.0, 2.0):
-            rep = eval_rogosinski_center(f, p_exp, 1, 0.4)
+            rep = evaluate_kind(FunctionalKind.rogosinski_center(p_exp, 1), f, 0.4)
             assert rep.value == pytest.approx(0.6**p_exp, abs=1e-15)
+
+def _s_star(f, r):
+    """The weighted coefficient energy S* of ``f`` at ``r``, its tail added."""
+    head, tail = _energy(f.moduli_array, f.coefficient_bound, r)
+    return float(head + tail)
+
 
 class TestSStar:
     def test_pure_rotation(self):
         f = CoefficientSeries((0j, 1.0 + 0j), 0.0, Certificate.SCHUR_EXACT)
         for r in (0.2, 0.6):
-            assert s_star(f, r) == pytest.approx(r * r, abs=1e-15)
+            assert _s_star(f, r) == pytest.approx(r * r, abs=1e-15)
 
     def test_mobius_closed_form(self):
         for a in (0.3, 0.6, 0.9):
             f = mobius_series(a, 600)
             for r in (0.25, 0.5, 0.8):
                 closed = (1 - a * a) ** 2 * r * r / (1 - a * a * r * r) ** 2
-                assert s_star(f, r) == pytest.approx(closed, abs=1e-9)
+                assert _s_star(f, r) == pytest.approx(closed, abs=1e-9)
 
     def test_energy_bound(self):
         # the general coefficient estimate gives (1-a^2)^2 r^2 / (1-r^2)^2
@@ -319,7 +330,7 @@ class TestSStar:
             a = abs(f.coeffs[0])
             for r in (0.3, 0.7):
                 cap = (1 - a * a) ** 2 * r * r / (1 - r * r) ** 2
-                assert s_star(f, r) <= cap + 1e-12
+                assert _s_star(f, r) <= cap + 1e-12
 
 
 class TestConstants:
@@ -369,11 +380,9 @@ class TestConstraint:
             constraint_check((-0.1,))
 
     def test_violating_weights_cannot_be_built(self):
-        # one constraint check, run when the kind is built and by the evaluator
+        # one constraint check, run when the kind is built
         with pytest.raises(ConstraintViolation, match="excess 4.625"):
             FunctionalKind.improved((5.0,))
-        with pytest.raises(ConstraintViolation, match="excess 4.625"):
-            eval_improved_bohr(mobius_series(0.5, 20), (5.0,), 0.3)
 
     @pytest.mark.parametrize("d", [(float("nan"),), (float("inf"),), (0.5, float("nan")),
                                    (-0.1,), (float("-inf"), 0.2)])
@@ -389,14 +398,14 @@ class TestImprovedSum:
     def test_corollary_weight_at_one_third(self):
         for a in np.arange(0.0, 0.95, 0.1):
             f = mobius_series(float(a), 200)
-            rep = eval_improved_bohr(f, (8.0 / 9.0,), 1 / 3)
+            rep = evaluate_kind(FunctionalKind.improved((8.0 / 9.0,)), f, 1 / 3)
             assert rep.margin <= 1e-15
 
     def test_zero_weights_reduce_to_refined_sum(self):
         f = _random_schur(21)
         r = 0.3
-        a = eval_improved_bohr(f, (0.0,), r)
-        b = eval_gap_sum(f, 0, 1, r)
+        a = evaluate_kind(FunctionalKind.improved((0.0,)), f, r)
+        b = evaluate_kind(FunctionalKind.gap(1, 0), f, r)
         assert a.value == b.value
         assert a.tail_error == b.tail_error
 
@@ -407,7 +416,7 @@ class TestImprovedSum:
         for a in (0.6, 0.9):
             for r in (0.4, 0.6):
                 T = default_truncation(r)
-                rep = eval_improved_bohr(mobius_series(a, T), d, r)
+                rep = evaluate_kind(FunctionalKind.improved(d), mobius_series(a, T), r)
                 psi = 1.0 - (1 + a) * r / (1 - r)
                 for s, weight in enumerate(d, start=1):
                     psi -= (
@@ -422,7 +431,7 @@ class TestImprovedSum:
     def test_violating_weights_rejected(self):
         f = mobius_series(0.5, 50)
         with pytest.raises(ConstraintViolation):
-            eval_improved_bohr(f, (1.0,), 0.3)
+            evaluate_kind(FunctionalKind.improved((1.0,)), f, 0.3)
 
 
 class TestLemmaTailBound:
@@ -430,23 +439,23 @@ class TestLemmaTailBound:
         a = 0.7
         f = CoefficientSeries((a + 0j,), 0.0, Certificate.SCHUR_EXACT)
         for n, r in ((1, 0.4), (3, 0.8)):
-            slack = lemma_tail_bound_check(f, n, r)
+            slack = -evaluate_kind(FunctionalKind.tail_lemma(n), f, r).margin
             assert slack == pytest.approx((1 - a * a) * r**n / (1 - r), abs=1e-15)
 
     def test_mobius_instance(self):
         f = mobius_series(0.5, 300)
-        assert lemma_tail_bound_check(f, 1, 0.4) >= 0.0
+        assert -evaluate_kind(FunctionalKind.tail_lemma(1), f, 0.4).margin >= 0.0
 
     def test_random_suite(self):
         for seed in range(40):
             f = _random_schur(seed, order=200)
             for n in (1, 2, 3):
                 for r in (0.2, 0.5, 0.8):
-                    assert lemma_tail_bound_check(f, n, r) >= -1e-10
+                    assert -evaluate_kind(FunctionalKind.tail_lemma(n), f, r).margin >= -1e-10
 
     def test_zero_radius(self):
         f = mobius_series(0.3, 50)
-        assert lemma_tail_bound_check(f, 2, 0.0) == 0.0
+        assert -evaluate_kind(FunctionalKind.tail_lemma(2), f, 0.0).margin == 0.0
 
 
 class TestSchwarzPick:
@@ -464,27 +473,43 @@ class TestSchwarzPick:
 
 class TestReportContract:
     def test_margin_definition(self):
-        rep = eval_gap_sum(mobius_series(0.5, 80), 0, 1, 0.3)
+        rep = evaluate_kind(FunctionalKind.gap(1, 0), mobius_series(0.5, 80), 0.3)
         assert rep.margin == pytest.approx(rep.value + rep.tail_error - 1.0, abs=1e-18)
         assert rep.certified is True
 
     def test_uncertified_flagged(self):
         s = CoefficientSeries((0.5 + 0j, 0.2 + 0j), 0.3, Certificate.UNKNOWN)
-        rep = eval_gap_sum(s, 0, 1, 0.3)
+        rep = evaluate_kind(FunctionalKind.gap(1, 0), s, 0.3)
         assert rep.certified is False
 
     @pytest.mark.parametrize("certified, margin, status", STATUS_TABLE)
     def test_status_truth_table(self, certified, margin, status):
-        rep = eval_gap_sum(mobius_series(0.5, 80), 0, 1, 0.3)
+        rep = evaluate_kind(FunctionalKind.gap(1, 0), mobius_series(0.5, 80), 0.3)
         rep = dataclasses.replace(rep, certified=certified, margin=margin)
         assert rep.status is status
 
     def test_evaluated_statuses(self):
         f = mobius_series(0.5, 80)
-        assert eval_gap_sum(f, 0, 1, 0.3).status is Status.HOLDS
-        assert eval_gap_sum(f, 0, 1, 0.8).status is Status.VIOLATED
+        assert evaluate_kind(FunctionalKind.gap(1, 0), f, 0.3).status is Status.HOLDS
+        assert evaluate_kind(FunctionalKind.gap(1, 0), f, 0.8).status is Status.VIOLATED
         s = CoefficientSeries((0.5 + 0j, 0.2 + 0j), 0.3, Certificate.UNKNOWN)
-        assert eval_gap_sum(s, 0, 1, 0.8).status is Status.UNCERTIFIED
+        assert evaluate_kind(FunctionalKind.gap(1, 0), s, 0.8).status is Status.UNCERTIFIED
+
+    @pytest.mark.parametrize("kind", [FunctionalKind.gap(1, 0), FunctionalKind.lacunary(1, 0),
+                                      FunctionalKind.improved((0.0,))], ids=lambda k: k.tag.value)
+    def test_nan_squared_sum_fails_closed(self, kind):
+        # |c_1000| = 1e300 squares to inf, and inf times a power cut to 0.0 is
+        # NaN: the squared sum is NaN, not empty, and the verdict is VIOLATED.
+        # (I_M's zero weight keeps the NaN energy out of its value.)
+        coeffs = np.zeros(1001, dtype=complex)
+        coeffs[0], coeffs[1000] = 0.5, 1e300
+        f = CoefficientSeries(coeffs, 0.0, Certificate.SCHUR_SAMPLED)
+        g = LacunarySeries(0, 1, f) if kind.spec.lacunary else f
+        with np.errstate(over="ignore", invalid="ignore"):
+            reports = [evaluate_kind(kind, g, 0.49), *evaluate_grid(kind, g, [0.3, 0.49])]
+        for rep in reports:
+            assert math.isnan(rep.margin)
+            assert rep.status is Status.VIOLATED
 
     def test_json_threshold_for_lemma_tail_only(self):
         f = mobius_series(0.4, 150)

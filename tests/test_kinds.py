@@ -11,17 +11,7 @@ import pytest
 
 from bohrlab import harness
 from bohrlab.cli import STATUS_EXIT, EXIT_OK, EXIT_USAGE, _kind_from_args, build_parser, main
-from bohrlab.functionals import (
-    KINDS,
-    FunctionalKind,
-    FunctionalTag,
-    eval_gap_sum,
-    eval_improved_bohr,
-    eval_lacunary_sum,
-    eval_rogosinski,
-    eval_rogosinski_center,
-    lemma_tail_bound_check,
-)
+from bohrlab.functionals import KINDS, FunctionalKind, FunctionalTag
 from bohrlab.harness import campaign_function, evaluate_kind, random_campaign
 from bohrlab.radii import RadiusEquation
 from bohrlab.series import (
@@ -234,29 +224,23 @@ def test_scalar_report_is_the_batch_formula_on_one_column(tag):
         assert report.margin == value + tail - level
 
 
-# Each public evaluator called with the parameters of one kind.
-PUBLIC_EVALUATORS = {
-    FunctionalTag.A_PM: lambda k, f, r: eval_lacunary_sum(f, r),
-    FunctionalTag.D_NM: lambda k, f, r: eval_gap_sum(f, k.m, k.n, r),
-    FunctionalTag.G_MPN: lambda k, f, r: eval_rogosinski(f, k.m, k.p_exp, k.n, r),
-    FunctionalTag.H_PN: lambda k, f, r: eval_rogosinski_center(f, k.p_exp, k.n, r),
-    FunctionalTag.I_M: lambda k, f, r: eval_improved_bohr(f, k.d, r),
-    FunctionalTag.LEMMA_TAIL: lambda k, f, r: lemma_tail_bound_check(f, k.n, r),
-}
-
-
 @pytest.mark.parametrize("tag", list(FunctionalTag), ids=lambda t: t.value)
-def test_public_evaluator_is_evaluate_kind(tag):
-    # One evaluation path: an eval_* function builds its kind and reports
-    # exactly what evaluate_kind reports; the lemma check is the negated margin.
+def test_report_params_follow_the_kind(tag):
+    # A report lists its kind's parameters in the kind's own order, the order
+    # of label() and of the CLI's CSV params cell.
     kind = SAMPLES[tag]
-    rng = np.random.default_rng(72)
-    for _ in range(20):
-        f = _random_trial(kind, rng, 300)
-        r = float(rng.uniform(0.0, 0.99))
-        want = evaluate_kind(kind, f, r)
-        got = PUBLIC_EVALUATORS[tag](kind, f, r)
-        if tag is FunctionalTag.LEMMA_TAIL:
-            assert got == -want.margin
-        else:
-            assert repr(got) == repr(want)
+    f = _random_trial(kind, np.random.default_rng(73), 50)
+    report = evaluate_kind(kind, f, 0.3)
+    assert list(report.params.items()) == list(kind.params().items())
+
+
+@pytest.mark.parametrize("tag", [t for t in FunctionalTag if t is not FunctionalTag.D_NM],
+                         ids=lambda t: t.value)
+def test_only_the_gap_row_takes_a_squared_shift(tag):
+    kind = SAMPLES[tag]
+    f = _random_trial(kind, np.random.default_rng(74), 50)
+    with pytest.raises(TypeError, match="squared_shift"):
+        evaluate_kind(kind, f, 0.3, squared_shift=1)
+    reports = harness.evaluate_grid(kind, f, [0.2, 0.3], squared_shift=1)
+    with pytest.raises(TypeError, match="squared_shift"):
+        next(reports)

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from bohrlab.functionals import _energy
 from bohrlab.series import (
     Certificate,
     CoefficientSeries,
@@ -347,6 +348,8 @@ class TestTailBound:
         bound = tail_bound(s, r, TailWeight.S_STAR)
         assert bound >= exact
         assert bound <= exact * 10.0  # not wildly loose either
+        # the energy S* charges exactly this tail
+        assert _energy(s.moduli_array, s.coefficient_bound, r)[1] == bound
 
     def test_squared_and_linear_dominate_brute_force(self):
         a, T, r = 0.8, 30, 0.6
