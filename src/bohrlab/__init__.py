@@ -48,16 +48,12 @@ from .series import (
     MAX_EVAL_RADIUS,
     RadiusError,
     TailWeight,
-    boundary_supremum,
-    certify_by_sampling,
     default_truncation,
-    lacunary_expand,
     mobius_series,
     mobius_minus_series,
     schur_from_parameters,
     series_from_json,
     series_to_json,
-    tail_bound,
 )
 from .spaces import (
     BanachFunction,

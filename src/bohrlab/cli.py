@@ -43,7 +43,7 @@ import numpy as np
 import orjson
 
 from . import selftest as selftest_mod
-from .functionals import KINDS, FunctionalKind, FunctionalTag, Status
+from .functionals import _PARAMETERS, KINDS, FunctionalKind, FunctionalTag, Status
 from .harness import NotSharpError, evaluate_grid, evaluate_kind, sharpness_witness
 from .radii import (
     PARAMETER_CAP,
@@ -241,6 +241,9 @@ def _run_radii(args) -> int:
 def _kind_from_args(args, fallback=None) -> FunctionalKind:
     tag = FunctionalTag(args.kind)
     spec = KINDS[tag]
+    for name in _PARAMETERS:
+        if name not in spec.params and getattr(args, name) is not None:
+            raise _UsageError(f"kind {tag.value} takes no --{name.replace('_', '-')}")
     values = {name: getattr(args, name) for name in spec.params}
     if values.get("d") is not None:
         try:

@@ -165,6 +165,10 @@ class FunctionalTag(str, Enum):
     LEMMA_TAIL = "LEMMA_TAIL"  # tail-bound slack check
 
 
+#: Every parameter field of a kind; a kind takes only those of its ``spec.params``.
+_PARAMETERS = ("p", "m", "n", "p_exp", "d")
+
+
 @dataclass(frozen=True)
 class FunctionalKind:
     """Tagged choice of evaluator plus its parameters, checked by its row of KINDS."""
@@ -178,6 +182,9 @@ class FunctionalKind:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tag", FunctionalTag(self.tag))
+        for name in _PARAMETERS:
+            if getattr(self, name) is not None and name not in self.spec.params:
+                raise ValueError(f"kind {self.tag.value} takes no {name}")
         if self.p_exp is not None:
             object.__setattr__(self, "p_exp", float(self.p_exp))
         if self.d is not None:
@@ -620,7 +627,7 @@ def _evaluate(
     for s in range(min(n, mods.size)):
         if s != m and mods[s] > _SUPPORT_TOL:
             raise SupportError(
-                f"coefficient c_{s} = {mods[s]!r} violates the support "
+                f"coefficient c_{s} = {float(mods[s])!r} violates the support "
                 f"{{{m}}} | {{s >= {n}}}"
             )
     params = kind.params()

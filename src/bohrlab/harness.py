@@ -65,7 +65,6 @@ from .series import (
     LacunarySeries,
     _check_radius,
     default_truncation,
-    lacunary_expand,
     mobius_minus_series,
     mobius_series,
     schur_from_parameters,
@@ -123,8 +122,10 @@ class CampaignSummary:
     """Outcome of a seeded random margin sweep at a fixed radius.
 
     ``max_margin`` includes each trial's tail certificate; ``max_value`` is
-    the largest bare partial sum, so ``max_value <= 1`` states that no trial's
-    margin exceeded its own certified tail error.
+    1 + max over trials of (margin - tail), so ``max_value <= 1`` states that
+    no trial's margin exceeded its own certified tail error.  It equals the
+    largest bare value only for kinds whose level is 1; for LEMMA_TAIL it is
+    1 + max(LHS - RHS).
     """
 
     kind: FunctionalKind
@@ -372,7 +373,7 @@ def campaign_function(kind: FunctionalKind, seed: int, trial: int, r: float | No
     g = schur_from_parameters(gamma, _campaign_truncation(kind, r))
     if kind.spec.lacunary:
         return LacunarySeries(kind.m, kind.p, g)
-    return lacunary_expand(kind.spec.support(kind)[0], 1, g)  # lam^m g
+    return LacunarySeries(kind.spec.support(kind)[0], 1, g).expand()  # lam^m g
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from .series import (
     CoefficientSeries,
     LacunarySeries,
     default_truncation,
-    lacunary_expand,
     mobius_minus_series,
     schur_from_parameters,
 )
@@ -102,7 +101,7 @@ def check_extremal_closed_forms() -> tuple[bool, str]:
     for m in (0, 1, 2):
         kind = FunctionalKind.gap(m + 1, m)
         for a in grid:
-            series = lacunary_expand(m, 1, mobius_minus_series(a, T))
+            series = LacunarySeries(m, 1, mobius_minus_series(a, T)).expand()
             for r, report in zip(grid, evaluate_grid(kind, series, grid)):
                 expected = r**m * (a + (1.0 - a * a) * r / (1.0 - r))
                 worst = max(worst, abs(report.value - expected))
@@ -243,7 +242,7 @@ def check_banach_reduction() -> tuple[bool, str]:
             g = schur_from_parameters(mags * np.exp(1j * args), T)
 
             # Functional type on the gap shape {1} | {s >= 2}.
-            h_gap = lacunary_expand(1, 1, g)
+            h_gap = LacunarySeries(1, 1, g).expand()
             f_vec = BanachFunction(
                 MappingForm.VECTOR_VALUED, spec, u, h_gap, spec, direction
             )
@@ -252,7 +251,7 @@ def check_banach_reduction() -> tuple[bool, str]:
             worst_eval = max(worst_eval, abs(via - direct))
 
             # Functional type on the lacunary shape {2s + 1}.
-            h_lac = lacunary_expand(1, 2, g)
+            h_lac = LacunarySeries(1, 2, g).expand()
             f_vec2 = BanachFunction(
                 MappingForm.VECTOR_VALUED, spec, u, h_lac, spec, direction
             )
@@ -265,12 +264,12 @@ def check_banach_reduction() -> tuple[bool, str]:
             f_norm = BanachFunction(MappingForm.Z_TIMES_SCALAR, spec, u, g)
             sliced = slice_series(f_norm, u)
             via = evaluate_kind(gap, sliced, r, squared_shift=1).value
-            direct = evaluate_kind(gap, lacunary_expand(1, 1, g), r, squared_shift=1).value
+            direct = evaluate_kind(gap, h_gap, r, squared_shift=1).value
             worst_eval = max(worst_eval, abs(via - direct))
 
             # Norm type on the lacunary shape: h = lam^(m-1) G(lam^p) with m = 1.
             f_norm2 = BanachFunction(
-                MappingForm.Z_TIMES_SCALAR, spec, u, lacunary_expand(0, 2, g)
+                MappingForm.Z_TIMES_SCALAR, spec, u, LacunarySeries(0, 2, g).expand()
             )
             got = _read_lacunary(slice_series(f_norm2, u), 1, 2, g.truncation_order)
             via = evaluate_kind(lacunary, got, r).value

@@ -2,10 +2,10 @@
 
 A function bounded by 1 on the unit disk is represented by its first ``T+1``
 Taylor coefficients together with a single number bounding the modulus of
-every dropped coefficient.  That pair is enough to evaluate partial sums,
-Bohr-type coefficient sums and weighted coefficient energies with an explicit
-upper bound on the truncation error, which is what the rest of the package
-consumes.
+every dropped coefficient.  That pair is enough to evaluate Bohr-type
+coefficient sums and weighted coefficient energies with an explicit upper
+bound on the truncation error (:func:`weighted_tail`), which is what the rest
+of the package consumes.
 
 Coefficients of a self-map of the disk satisfy |c_s| <= 1 - |c_0|^2 for
 s >= 1, and |c_0| = 1 forces the function to be a unimodular constant; both
@@ -15,11 +15,9 @@ certificate.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -34,17 +32,12 @@ __all__ = [
     "TailWeight",
     "MAX_EVAL_RADIUS",
     "TAIL_TARGET",
-    "boundary_supremum",
-    "certify_by_sampling",
     "default_truncation",
-    "lacunary_expand",
     "mobius_series",
     "mobius_minus_series",
     "schur_from_parameters",
     "series_from_json",
     "series_to_json",
-    "tail_bound",
-    "truncation_cap",
     "weighted_tail",
 ]
 
@@ -55,8 +48,8 @@ MAX_EVAL_RADIUS = 0.995
 #: Default truncation-error target used when choosing truncation orders.
 TAIL_TARGET = 1e-12
 
-_TRUNCATION_CAP_ENV = "BOHRLAB_MAX_TRUNC"
-_DEFAULT_TRUNCATION_CAP = 20000
+#: Largest order a lacunary expansion m + p*T may reach.
+_TRUNCATION_CAP = 20000
 
 # Constructor tolerances: absolute slack for coefficient inequalities that
 # hold exactly in real arithmetic but only up to roundoff here.
@@ -84,7 +77,7 @@ class Certificate(str, Enum):
     """Why a series is believed to be bounded by 1 on the disk."""
 
     SCHUR_EXACT = "SCHUR_EXACT"      # built from a construction that guarantees it
-    SCHUR_SAMPLED = "SCHUR_SAMPLED"  # passed dense boundary sampling
+    SCHUR_SAMPLED = "SCHUR_SAMPLED"  # the file claims boundary sampling passed
     UNKNOWN = "UNKNOWN"              # no guarantee; evaluations are flagged
 
 
@@ -102,7 +95,7 @@ class CoefficientSeries:
 
     ``coefficient_bound`` guarantees |c_s| <= coefficient_bound for all
     s > truncation_order; it feeds the tail certificates of
-    :func:`tail_bound`.  ``certificate`` records why the function is believed
+    :func:`weighted_tail`.  ``certificate`` records why the function is believed
     to map the disk into its closure.
 
     ``coeffs`` may be any iterable of numbers or a 1-D numpy array.  The
@@ -181,29 +174,6 @@ class CoefficientSeries:
     def truncation_order(self) -> int:
         return len(self.coeffs) - 1
 
-    @property
-    def is_degenerate(self) -> bool:
-        """True when the series is a unimodular constant."""
-        return bool(self.moduli_array[0] >= 1.0 - _DEGENERATE_TOL)
-
-    def __call__(self, lam: complex) -> complex:
-        """Partial-sum value at ``lam`` (Horner); no tail is added here.
-
-        At ``lam == 0`` the value is ``c_0``, returned without the Horner loop.
-        """
-        if lam == 0:
-            return self.coeffs[0]
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * lam + c
-        return acc
-
-    def moduli(self) -> tuple[float, ...]:
-        return tuple(self.moduli_array.tolist())
-
-    def with_certificate(self, certificate: Certificate) -> "CoefficientSeries":
-        return dataclasses.replace(self, certificate=certificate)
-
 
 @dataclass(frozen=True)
 class LacunarySeries:
@@ -227,8 +197,8 @@ class LacunarySeries:
         """The expanded series, built on the first call and reused after it.
 
         The identity shape m = 0, p = 1 returns ``g`` itself, without a copy.
-        Any other expansion whose order m + p*T passes :func:`truncation_cap`
-        is rejected with ValueError before allocating.
+        Any other expansion whose order m + p*T passes ``_TRUNCATION_CAP``
+        (20,000) is rejected with ValueError before allocating.
         """
         return self._expanded
 
@@ -240,18 +210,13 @@ class LacunarySeries:
         if (m, p) == (0, 1):
             return g
         T = m + p * g.truncation_order
-        cap = truncation_cap()
-        if T > cap:
+        if T > _TRUNCATION_CAP:
             raise ValueError(
-                f"expanded order m + p*T = {T} exceeds the truncation cap {cap} "
-                f"(set {_TRUNCATION_CAP_ENV} to raise it)"
+                f"expanded order m + p*T = {T} exceeds the truncation cap {_TRUNCATION_CAP}"
             )
         coeffs = np.zeros(T + 1, dtype=np.complex128)
         coeffs[m::p] = g.coeffs_array
         return CoefficientSeries(coeffs, g.coefficient_bound, g.certificate)
-
-    def __call__(self, lam: complex) -> complex:
-        return lam**self.m * self.g(lam**self.p)
 
 
 def mobius_series(a: float, truncation_order: int) -> CoefficientSeries:
@@ -360,29 +325,6 @@ def schur_from_parameters(
     return CoefficientSeries(coeffs, bound, Certificate.SCHUR_EXACT)
 
 
-def lacunary_expand(m: int, p: int, g: CoefficientSeries) -> CoefficientSeries:
-    """Embed ``g`` on the support ``{s*p + m}``: the expansion of lam^m g(lam^p).
-
-    The expansion of ``LacunarySeries(m, p, g)``, which checks the shape; see
-    :meth:`LacunarySeries.expand`.
-    """
-    return LacunarySeries(m, p, g).expand()
-
-
-def tail_bound(series: CoefficientSeries, r: float, weight: TailWeight) -> float:
-    """Certified upper bound on the tail dropped beyond the truncation order.
-
-    The formulas are those of :func:`weighted_tail`, applied to the series'
-    coefficient bound and truncation order.
-    """
-    if not 0.0 <= r < 1.0:  # also rejects NaN
-        raise RadiusError(f"tail bounds require 0 <= r < 1, got {r!r}")
-    b = series.coefficient_bound
-    if b == 0.0 or r == 0.0:
-        return 0.0
-    return weighted_tail(b, r, series.truncation_order, TailWeight(weight))
-
-
 def weighted_tail(bound, r: float, T: int, weight: TailWeight):
     """Tail beyond order ``T`` of coefficients bounded by ``bound`` (a float or array).
 
@@ -404,24 +346,13 @@ def weighted_tail(bound, r: float, T: int, weight: TailWeight):
     return bound * bound * xpow * ((T + 1) - T * x) / (1.0 - x) ** 2
 
 
-def truncation_cap() -> int:
-    """Hard cap on truncation orders; override with BOHRLAB_MAX_TRUNC."""
-    raw = os.environ.get(_TRUNCATION_CAP_ENV)
-    if raw is None:
-        return _DEFAULT_TRUNCATION_CAP
-    cap = int(raw)
-    if cap < 1:
-        raise ValueError(f"{_TRUNCATION_CAP_ENV} must be a positive integer")
-    return cap
-
-
 def default_truncation(r: float) -> int:
     """Smallest truncation order whose LINEAR tail at ``r`` is below TAIL_TARGET.
 
     The tail is that of coefficients bounded by 1, r^(T+1) / (1 - r).  ``r``
     must pass the evaluation-radius rule (RadiusError otherwise), so a
-    radius near 1 is refused rather than served with an enormous order; the
-    result is clamped to :func:`truncation_cap`.
+    radius near 1 is refused rather than served with an enormous order: the
+    largest admitted radius needs T = 6,569.
     """
     r = _check_radius(r)
     if r == 0.0:
@@ -431,41 +362,7 @@ def default_truncation(r: float) -> int:
     T = max(1, math.ceil(needed) - 1)
     while r ** (T + 1) / (1.0 - r) > TAIL_TARGET:
         T += 1
-    return min(T, truncation_cap())
-
-
-def boundary_supremum(
-    series: CoefficientSeries, r: float, samples: int = 256
-) -> float:
-    """Max of the partial sum over ``samples`` equispaced points on |lam| = r."""
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    best = 0.0
-    for k in range(samples):
-        lam = r * complex(math.cos(2.0 * math.pi * k / samples),
-                          math.sin(2.0 * math.pi * k / samples))
-        best = max(best, abs(series(lam)))
-    return best
-
-
-def certify_by_sampling(
-    series: CoefficientSeries, r: float = 0.99, samples: int = 256
-) -> CoefficientSeries:
-    """Upgrade an UNKNOWN series to SCHUR_SAMPLED after dense boundary sampling.
-
-    The check is |partial sum| <= 1 + LINEAR tail + 1e-12 at every sample; it
-    cannot prove membership, only record sampled evidence.
-    """
-    sup = boundary_supremum(series, r, samples)
-    allowance = 1.0 + tail_bound(series, r, TailWeight.LINEAR) + 1e-12
-    if sup > allowance:
-        raise ValueError(
-            f"boundary samples reach {sup!r} > {allowance!r}; series is not "
-            "certifiable as a disk self-map"
-        )
-    if series.certificate is Certificate.SCHUR_EXACT:
-        return series
-    return series.with_certificate(Certificate.SCHUR_SAMPLED)
+    return T
 
 
 def series_to_json(obj: CoefficientSeries | LacunarySeries) -> dict:

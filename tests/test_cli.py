@@ -4,8 +4,10 @@ import dataclasses
 import io
 import json
 import math
+import re
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,7 @@ from bohrlab.cli import (
     EXIT_UNCERTIFIED,
     EXIT_USAGE,
     EXIT_VIOLATION,
+    _load_function,
     main,
 )
 from bohrlab.series import (
@@ -286,6 +289,54 @@ class TestVerifyCommand:
         report = json.loads(capsys.readouterr().out)
         # slicing through u reproduces the scalar profile's evaluation
         assert report["margin"] <= 0.0
+
+    def test_sampled_certificate_still_claims(self, tmp_path, capsys):
+        # SCHUR_SAMPLED is read from the file, not recomputed: it loads and counts
+        data = series_to_json(mobius_series(0.5, 200))
+        data["certificate"] = "SCHUR_SAMPLED"
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(data))
+        rc = main(["verify", "--file", str(path), "--kind", "D_NM", "--n", "1",
+                   "--m", "0", "--r", "0.3"])
+        assert rc == EXIT_OK
+        out = capsys.readouterr()
+        assert '"certified": true' in out.out
+        assert out.err == ""
+
+
+class TestReadmeExamples:
+    """The function files in README.md load, and verify runs on them."""
+
+    @staticmethod
+    def _files(tmp_path):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```json\n(.*?)```", text, flags=re.DOTALL)
+        assert len(blocks) == 2
+        paths = []
+        for k, block in enumerate(blocks):
+            path = tmp_path / f"readme{k}.json"
+            path.write_text(block)
+            paths.append(str(path))
+        return paths
+
+    def test_every_example_loads(self, tmp_path):
+        for path in self._files(tmp_path):
+            _load_function(path)
+
+    def test_lacunary_example_verifies(self, tmp_path, capsys):
+        lacunary = self._files(tmp_path)[0]
+        loaded = _load_function(lacunary)
+        assert (loaded.m, loaded.p) == (1, 2)
+        assert main(["verify", "--file", lacunary, "--kind", "A_PM", "--r", "0.3"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["inputs"]["certified"] is True
+
+    def test_support_violation_prints_a_plain_float(self, tmp_path, capsys):
+        ball = self._files(tmp_path)[1]
+        rc = main(["verify", "--file", ball, "--kind", "D_NM", "--n", "2", "--m", "1",
+                   "--r", "0.3"])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "usage error: coefficient c_0 = 0.5 violates the support {1} | {s >= 2}\n")
 
 
 def _series_text(**fields):

@@ -109,6 +109,29 @@ def test_bad_parameters_fail_at_construction(build, message):
     assert str(info.value) == message
 
 
+# A value for each parameter field, of the type the kinds that take it expect.
+_FOREIGN = {"p": 2, "m": 1, "n": 3, "p_exp": 1.0, "d": (0.5,)}
+
+
+@pytest.mark.parametrize("tag", list(FunctionalTag))
+def test_kind_refuses_parameters_it_does_not_take(tag, capsys):
+    kind = SAMPLES[tag]
+    own = {name: getattr(kind, name) for name in kind.spec.params}
+    foreign = [name for name in _FOREIGN if name not in kind.spec.params]
+    assert foreign
+    for name in foreign:
+        with pytest.raises(ValueError) as info:
+            FunctionalKind(tag, **own, **{name: _FOREIGN[name]})
+        assert str(info.value) == f"kind {tag.value} takes no {name}"
+        flag = f"--{name.replace('_', '-')}"
+        value = _FOREIGN[name]
+        text = ",".join(map(repr, value)) if name == "d" else repr(value)
+        assert main(["sharpness", *_flags(kind), flag, text]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"usage error: kind {tag.value} takes no {flag}\n")
+
+
 # The margin may only grow with the bound on the dropped coefficients.
 _MONOTONE_KINDS = [
     FunctionalKind.lacunary(2, 1),

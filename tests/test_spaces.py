@@ -7,7 +7,7 @@ import pytest
 from bohrlab.series import (
     Certificate,
     CoefficientSeries,
-    lacunary_expand,
+    LacunarySeries,
     mobius_minus_series,
     schur_from_parameters,
 )
@@ -115,10 +115,10 @@ class TestSlices:
         a, m, p, r = 0.45, 2, 3, 0.6
         spec = SpaceSpec(2, 2.0)
         u = unit_vector([0.6, 0.8], spec)
-        h = lacunary_expand(m - 1, p, mobius_minus_series(a, 6))
+        h = LacunarySeries(m - 1, p, mobius_minus_series(a, 6)).expand()
         f = BanachFunction(MappingForm.Z_TIMES_SCALAR, spec, u, h)
         sliced = slice_series(f, u)
-        mods = sliced.moduli()
+        mods = sliced.moduli_array
         assert mods[m] * r**m == pytest.approx(a * r**m, abs=1e-12)
         for s in range(1, 7):
             k = s * p + m
@@ -196,7 +196,7 @@ class TestSliceArithmetic:
                 0.95 * np.sqrt(rng.random(4)) * np.exp(2j * np.pi * rng.random(4)), T
             )
             if T == 99:
-                h = lacunary_expand(1, 2, h)  # its zeros must stay exact zeros
+                h = LacunarySeries(1, 2, h).expand()  # its zeros must stay exact zeros
             u, omega, direction = (
                 unit_vector(rng.normal(size=dim) + 1j * rng.normal(size=dim), spec)
                 for _ in range(3)
