@@ -18,13 +18,18 @@ Every kind admits the radii 0 <= r < 0.995: ``verify`` outside them is a
 usage error, and a ``sweep`` row is REJECTED exactly where ``verify`` would
 refuse its radius (r < 0, r >= 0.995 or not finite); it has no value and no
 margin.  ``sweep`` evaluates its accepted radii in one call of
-``harness.evaluate_grid``, and each row is ``verify`` at its radius.  A kind
+``harness._grid_columns``, the floats of ``harness.evaluate_grid`` without
+its reports: it reads each block's values, tails and levels, builds no
+report, and each row's margin ``value + tail - level`` is ``verify``'s at
+its radius.  ``verify`` and ``sharpness`` build one report each.  A kind
 whose parameters break a hypothesis, I_M weights included, is a usage error
 before anything is evaluated.
 
 All output goes through one writer, :func:`_write`, and is deterministic
 byte-for-byte for fixed flags and seeds: rows are emitted in sorted parameter
-order, CSV floats with 17 significant digits, JSON with sorted keys.
+order, CSV floats with 17 significant digits, JSON with sorted keys.  A CSV
+row is ``csv.writer``'s: joined with commas where no cell needs quoting,
+written by ``csv.writer`` otherwise.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ import orjson
 
 from . import selftest as selftest_mod
 from .functionals import _PARAMETERS, KINDS, FunctionalKind, FunctionalTag, Status
-from .harness import NotSharpError, evaluate_grid, evaluate_kind, sharpness_witness
+from .harness import NotSharpError, _grid_columns, evaluate_kind, sharpness_witness
 from .radii import (
     PARAMETER_CAP,
     NoRootError,
@@ -219,9 +224,8 @@ def _radius_rows(p_max: int, m_max: int, n_max: int) -> list[list]:
     for eq in equations:
         root = maximal_root(eq)
         params = (eq.p_exp if eq.is_rational() else eq.p, eq.m, eq.n)
-        rows.append([eq.kind.value, *("" if x is None else x for x in params),
-                     root, equation_value(eq, root)])
-    rows.sort(key=lambda row: (row[0], *(-1.0 if x == "" else float(x) for x in row[1:4])))
+        rows.append([eq.kind.value, *params, root, equation_value(eq, root)])
+    rows.sort(key=lambda row: (row[0], *(-1.0 if x is None else float(x) for x in row[1:4])))
     return rows
 
 
@@ -385,15 +389,18 @@ def _run_sweep(args) -> int:
         except RadiusError:
             continue
         accepted.append(row)
+    certified = True
     if accepted:
         try:
-            reports = list(evaluate_grid(kind, fdesc, [row[0] for row in accepted]))
+            certified, blocks = _grid_columns(kind, fdesc, [row[0] for row in accepted])
+            cells = ((v, v + t - lv) for _, values, tails, levels in blocks
+                     for v, t, lv in zip(values, tails, levels))
+            for row, (value, margin) in zip(accepted, cells):
+                row[1:] = [value, margin, "OK"]
         except (ValueError, TypeError) as exc:
             raise _UsageError(str(exc))
-        for row, report in zip(accepted, reports):
-            row[1:] = [report.value, report.margin, "OK"]
     _write(args, ["r", "value", "margin", "status"], rows)
-    if accepted and reports[0].status is Status.UNCERTIFIED:
+    if not certified:
         print(_UNCERTIFIED_WARNING, file=sys.stderr)
     return EXIT_OK
 
@@ -460,6 +467,31 @@ def _finite(x):
     return x
 
 
+#: A cell character that makes ``csv.writer`` quote its cell, or may.
+_QUOTED = re.compile(r'["\r\n]')
+
+
+def _csv(rows: list[list]) -> str:
+    """``csv.writer``'s text of ``rows``, with ``"\\n"`` line ends and floats to 17 digits.
+
+    A row whose cells hold no ``,``, ``"``, ``\\r`` or ``\\n``, and which is
+    not one empty cell, is written as its cells joined by ``,``: there
+    ``csv.writer`` quotes nothing.  Every other row goes through
+    ``csv.writer``.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    for row in rows:
+        cells = ["" if x is None else f"{x:.17g}" if isinstance(x, float) else str(x)
+                 for x in row]
+        line = ",".join(cells)
+        if line.count(",") != len(cells) - 1 or _QUOTED.search(line) or cells == [""]:
+            writer.writerow(cells)
+        else:
+            buf.write(line + "\n")
+    return buf.getvalue()
+
+
 def _write(args, header: list[str], rows: list[list], payload=None) -> None:
     """Print ``rows`` under ``header`` to ``args.out`` (stdout if None) in ``args.format``.
 
@@ -468,14 +500,15 @@ def _write(args, header: list[str], rows: list[list], payload=None) -> None:
     float is written as null (JSON has no NaN or infinity).
     """
     if args.format == "csv":
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(
-            [header] + [[f"{x:.17g}" if isinstance(x, float) else x for x in row] for row in rows])
-        text = buf.getvalue()
+        text = _csv([header] + rows)
     else:
         if payload is None:
             payload = [dict(zip(header, row)) for row in rows]
-        text = json.dumps(_finite(payload), sort_keys=True, allow_nan=False) + "\n"
+        try:
+            text = json.dumps(payload, sort_keys=True, allow_nan=False)
+        except ValueError:  # a non-finite float: only then walk the payload
+            text = json.dumps(_finite(payload), sort_keys=True, allow_nan=False)
+        text += "\n"
     if args.out is None:
         sys.stdout.write(text)
         return

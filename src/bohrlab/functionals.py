@@ -13,12 +13,17 @@ of shape ``(T+1, ...)`` with a coefficient bound per function (a float or an
 array): it indexes the degree axis first and returns ``(value, tail)``.
 Each kind's row of :data:`KINDS` holds one formula row, ``batch``, built from
 those helpers, and every evaluation runs it.  The scalar path is a batch of
-one: a single function checks the radius (every kind admits
-0 <= r < MAX_EVAL_RADIUS) and the kind's support, runs the row on the
-series' own arrays and builds the report.  ``harness.evaluate_kind`` and
-``harness.evaluate_grid``, the one public way to evaluate a kind, call it;
-randomized campaigns pass a (T+1, trials) batch, one column per trial,
-through the same rows.
+one, in two layers.  :func:`_columns` checks the radii (every kind admits
+0 <= r < MAX_EVAL_RADIUS) and the kind's support once, then runs the row on
+the series' own arrays and yields each block of radii's values, tails and
+levels as float lists: the columns.  :func:`_evaluate` turns the columns
+into reports (:class:`EvaluationReport`), with margin ``value + tail - level``.
+``harness.evaluate_kind`` and ``harness.evaluate_grid``, the one public way
+to evaluate a kind, return those reports, and ``verify``, the selftest and
+the crossing's bisection read them.  ``sweep`` and the crossing scan of
+``harness.empirical_radius`` read the columns and take each margin with
+the same float expression, so they build no report.  Randomized campaigns
+pass a (T+1, trials) batch, one column per trial, through the same rows.
 The composed center of G_MPN is the only formula that reads the complex
 coefficients: |f(w(r))|^p at w = lam^m, the sharp case of Schwarz's lemma.
 
@@ -38,9 +43,9 @@ fall; :func:`_powers` states the bound per sum (below 2**-480 for a
 self-map with T < 2**13).
 
 The helpers also run on a radius axis.  ``sweep`` and the crossing scan of
-``harness.empirical_radius`` hand ``_evaluate`` many radii; it runs each
+``harness.empirical_radius`` hand ``_columns`` many radii; it runs each
 block of them as one ``r``, a 1-D :class:`_RadiusAxis`, and every radius
-gets the report it gets alone, bit for bit.  Only two functions look at the
+gets the floats it gets alone, bit for bit.  Only two functions look at the
 shape of ``r``: :func:`_powers` builds one table row per radius with the
 same numpy ``pow`` as for one radius, and :func:`_contract` takes each row's
 dot product as ``np.vecdot`` where one radius (or a campaign's gemv over
@@ -325,7 +330,12 @@ def _cut_rows(bases: np.ndarray, log_scale: float, exponents: np.ndarray, weight
     inside = (0.0 < bases) & (bases < 1.0)
     cuts[inside] = _cut(log_scale * np.log2(bases[inside]), exponents, weight)
     out = np.zeros((bases.size, exponents.size))
-    fill(out, np.arange(exponents.size) < cuts[:, None])
+    # Each row's mask is a prefix, set by one slice: a broadcast compare
+    # ``arange < cuts[:, None]`` over the whole block takes several times longer.
+    where = np.zeros(out.shape, dtype=bool)
+    for row, cut in enumerate(cuts.tolist()):
+        where[row, :cut] = True
+    fill(out, where)
     rows = np.flatnonzero(inside & (cuts > 0))
     last = cuts[rows] - 1
     low = out[rows, last] * weight < _NORMAL
@@ -596,32 +606,40 @@ def _lemma_lhs(mods, bound, n: int, r: float):
 # ---------------------------------------------------------------------------
 
 
-def _evaluate(
+def _read(kind: FunctionalKind, f: CoefficientSeries | LacunarySeries) -> CoefficientSeries:
+    """The series ``kind``'s row reads: g of ``f = lam^m g(lam^p)`` for a lacunary kind, else f."""
+    return f.g if kind.spec.lacunary else f
+
+
+def _certified(kind: FunctionalKind, f: CoefficientSeries | LacunarySeries) -> bool:
+    """Whether the input's class certificate makes a verdict on ``f`` meaningful."""
+    return _read(kind, f).certificate is not Certificate.UNKNOWN
+
+
+def _columns(
     kind: FunctionalKind,
     f: CoefficientSeries | LacunarySeries,
     radii: Sequence[float],
     **variant,
-) -> Iterator[EvaluationReport]:
-    """The reports of ``kind`` on ``f`` at each of ``radii``: its ``batch`` row.
+) -> Iterator[tuple[list[float], list[float], list[float], list[float]]]:
+    """``kind``'s ``batch`` row on ``f`` at each of ``radii``, as float columns.
 
     A lacunary kind reads ``g`` of ``f = lam^m g(lam^p)``; every other kind
     reads ``f`` itself, whose coefficients must vanish off the kind's
     support.  ``variant`` (only D_NM's nonzero ``squared_shift``) goes to
-    the row and into the report's parameters, after the kind's own.
-    The input's class certificate makes the verdict meaningful.
+    the row.  Every radius must pass the evaluation-radius rule, and both
+    checks run at the call: RadiusError or SupportError before any block.
 
-    The reports come lazily, in order, one formula pass per block of radii:
-    a block holds at most ``_RADIUS_BLOCK`` power-table entries.  A block of
-    one radius runs the row on that float; a longer one on a radius axis,
-    which gives every radius exactly its one-radius report.  Every radius
-    must pass the evaluation-radius rule (RadiusError before any report).
+    The returned iterator runs one formula pass per block of radii, lazily
+    and in order: a block holds at most ``_RADIUS_BLOCK`` power-table
+    entries.  It yields each block's radii, values, tails and levels, and a
+    radius's margin is ``value + tail - level``.  A block of one radius runs
+    the row on that float; a longer one on a radius axis, which gives every
+    radius exactly its one-radius floats.
     """
     spec = kind.spec
     radii = list(map(_check_radius, radii))
-    if spec.lacunary:
-        g, shape = f.g, f"lacunary(m={f.m}, p={f.p}, "
-    else:
-        g, shape = f, "series("
+    g = _read(kind, f)
     mods = g.moduli_array
     m, n = spec.support(kind)
     for s in range(min(n, mods.size)):
@@ -630,10 +648,12 @@ def _evaluate(
                 f"coefficient c_{s} = {float(mods[s])!r} violates the support "
                 f"{{{m}}} | {{s >= {n}}}"
             )
-    params = kind.params()
-    params.update(variant)
-    function = f"{shape}T={g.truncation_order}, cert={g.certificate.value})"
-    certified = g.certificate is not Certificate.UNKNOWN
+    return _blocks(spec, kind, g, mods, radii, variant)
+
+
+def _blocks(spec: "KindSpec", kind: FunctionalKind, g: CoefficientSeries, mods: np.ndarray,
+            radii: list[float], variant: dict):
+    """:func:`_columns`' iterator, on checked radii and the series the row reads."""
     size = max(1, _RADIUS_BLOCK // mods.size)
     for lo in range(0, len(radii), size):
         block = radii[lo : lo + size]
@@ -641,9 +661,31 @@ def _evaluate(
         value, tail = spec.batch(kind, g.coeffs_array, mods, g.coefficient_bound, r, **variant)
         level = spec.level(kind, mods, r)
         count = len(block)
-        columns = zip(block, _entries(value, count), _entries(tail, count), _entries(level, count))
-        for radius, v, t, lv in columns:
-            yield EvaluationReport(v, t, v + t - lv, kind.tag.value, dict(params), radius,
+        yield block, _entries(value, count), _entries(tail, count), _entries(level, count)
+
+
+def _evaluate(
+    kind: FunctionalKind,
+    f: CoefficientSeries | LacunarySeries,
+    radii: Sequence[float],
+    **variant,
+) -> Iterator[EvaluationReport]:
+    """The reports of ``kind`` on ``f`` at each of ``radii``: :func:`_columns` as reports.
+
+    The reports come lazily, in order; the checks run before the first.
+    ``variant`` joins the report's parameters, after the kind's own.
+    """
+    columns = _columns(kind, f, radii, **variant)
+    g = _read(kind, f)
+    shape = "series(" if g is f else f"lacunary(m={f.m}, p={f.p}, "
+    function = f"{shape}T={g.truncation_order}, cert={g.certificate.value})"
+    certified = g.certificate is not Certificate.UNKNOWN
+    params = kind.params()
+    params.update(variant)
+    tag = kind.tag.value
+    for block, values, tails, levels in columns:
+        for radius, v, t, lv in zip(block, values, tails, levels):
+            yield EvaluationReport(v, t, v + t - lv, tag, dict(params), radius,
                                    function, certified, lv)
 
 

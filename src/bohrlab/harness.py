@@ -58,6 +58,8 @@ from .functionals import (
     FunctionalKind,
     NotSharpError,
     Status,
+    _certified,
+    _columns,
     _evaluate,
 )
 from .series import (
@@ -193,6 +195,17 @@ def evaluate_grid(
     return _evaluate(kind, _kind_input(kind, f), radii, **variant)
 
 
+def _grid_columns(kind: FunctionalKind, f: CoefficientSeries | LacunarySeries, radii: list[float]):
+    """:func:`evaluate_grid`'s floats without its reports: ``(certified, blocks)``.
+
+    ``blocks`` yields each block's radii, values, tails and levels (see
+    ``functionals._columns``); a margin is ``value + tail - level``, as in a
+    report.  The input and its radii are checked at the call.
+    """
+    f = _kind_input(kind, f)
+    return _certified(kind, f), _columns(kind, f, radii)
+
+
 def _kind_input(kind: FunctionalKind, f: CoefficientSeries | LacunarySeries):
     """``f`` as ``kind`` reads it: lacunary for A_PM, expanded for every other kind."""
     if kind.spec.lacunary:
@@ -213,18 +226,22 @@ def empirical_radius(
     """Smallest r in (0, 0.99] with a VIOLATED report, or the NO_CROSSING sentinel.
 
     Scans with step 1e-3 and bisects the first crossing down to width 1e-9.
-    The scan evaluates its radii k * 1e-3 in ascending blocks (see
-    :func:`evaluate_grid`) and stops at the first block holding a VIOLATED
-    report; the bisection evaluates one radius at a time.  The input must
-    carry a certificate; margins of uncertified functions say nothing about
-    the inequalities.
+    The scan reads the margins of its radii k * 1e-3 from ascending blocks
+    of columns, building no report, and stops at the first block holding a
+    margin that is not <= 0 (a VIOLATED report); the bisection evaluates one
+    radius at a time with :func:`evaluate_kind`.  The input must carry a
+    certificate; margins of uncertified functions say nothing about the
+    inequalities.
     """
     f = _kind_input(kind, f)
     scan = [k * _SCAN_STEP for k in range(1, round(NO_CROSSING / _SCAN_STEP) + 1)]
-    for k, report in enumerate(evaluate_grid(kind, f, scan), start=1):
-        if report.status is Status.UNCERTIFIED:
-            raise ValueError("empirical radii require a certified disk self-map")
-        if report.status is Status.VIOLATED:
+    certified, blocks = _grid_columns(kind, f, scan)
+    if not certified:
+        raise ValueError("empirical radii require a certified disk self-map")
+    margins = (v + t - lv for _, values, tails, levels in blocks
+               for v, t, lv in zip(values, tails, levels))
+    for k, margin in enumerate(margins, start=1):
+        if not margin <= 0.0:
             break
     else:
         return NO_CROSSING

@@ -97,6 +97,18 @@ class TestRadiiCommand:
     def test_cap_enforced(self, capsys):
         assert main(["radii", "--p-max", "100"]) == EXIT_USAGE
 
+    def test_parameter_a_kind_lacks_is_null_in_json_and_empty_in_csv(self, capsys):
+        # R_PM has p and m but no n; the rational kinds have p_exp in p's column.
+        argv = ["radii", "--p-max", "2", "--m-max", "1", "--n-max", "2"]
+        assert main(argv + ["--format", "json"]) == EXIT_OK
+        rows = json.loads(capsys.readouterr().out)
+        lacunary = [row for row in rows if row["kind"] == "R_PM"]
+        assert lacunary and all(row["n"] is None and row["p"] >= 1 for row in lacunary)
+        assert "" not in [value for row in rows for value in row.values()]
+        assert main(argv) == EXIT_OK
+        cells = [row for row in _rows(capsys.readouterr().out) if row[0] == "R_PM"]
+        assert len(cells) == len(lacunary) and all(row[3] == "" for row in cells)
+
     def test_unknown_flag_rejected(self, capsys):
         assert main(["radii", "--bogus"]) == EXIT_USAGE
 
@@ -577,6 +589,21 @@ class TestSweepCommand:
             warnings_printed = captured.err.count("no disk-self-map certificate")
             assert warnings_printed == (certificate == "UNKNOWN")
         assert rows["SCHUR_EXACT"] == rows["UNKNOWN"]
+
+    def test_builds_no_report(self, tmp_path, capsys, monkeypatch):
+        # sweep reads value and margin from the evaluation's float columns.
+        from test_harness import _count_reports
+
+        built = _count_reports(monkeypatch)
+        for kind in (["--kind", "D_NM", "--n", "1", "--m", "0"], ["--kind", "LEMMA_TAIL", "--n", "2"]):
+            assert main(["sweep", "--file", _write_mobius(tmp_path), *kind,
+                         "--grid", "0:0.9:50"]) == EXIT_OK
+            rows = _rows(capsys.readouterr().out)[1:]
+            assert [row[3] for row in rows] == ["OK"] * 50
+        assert built == []
+        assert main(["verify", "--file", _write_mobius(tmp_path), "--kind", "D_NM",
+                     "--n", "1", "--m", "0", "--r", "0.3"]) == EXIT_OK
+        assert len(built) == 1
 
     def test_bad_grid_usage_error(self, tmp_path, capsys):
         path = _write_mobius(tmp_path)

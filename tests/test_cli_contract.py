@@ -5,9 +5,11 @@ run in one process through ``main`` and so through its one cached parser.
 Whatever the flags, ``main`` returns a status in 0..4, raises nothing, and
 writes either nothing or one well-formed JSON/CSV document to stdout.  The
 same lists, with their command replaced, dropped or cut short, parse exactly
-as the top-level argparse parser parses them.
+as the top-level argparse parser parses them.  The CSV writer's joined rows
+are ``csv.writer``'s bytes for any cells.
 """
 
+import argparse
 import contextlib
 import csv
 import io
@@ -19,7 +21,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from bohrlab.cli import GRID_CAP, _parse, build_parser, main  # noqa: E402
+from bohrlab.cli import GRID_CAP, _parse, _write, build_parser, main  # noqa: E402
 from bohrlab.functionals import FunctionalTag  # noqa: E402
 from bohrlab.series import mobius_series, series_to_json  # noqa: E402
 from test_cli import parse_outcome  # noqa: E402
@@ -129,5 +131,35 @@ def test_parse_matches_argparse(fixture_file):
     @hypothesis.given(argv=_any_argv(fixture_file))
     def check(argv):
         assert parse_outcome(_parse, argv) == parse_outcome(parser.parse_args, argv), argv
+
+    check()
+
+
+#: Cells ``_write`` is handed: floats (non-finite too), ints, bools, None and
+#: strings, with and without the characters that make ``csv.writer`` quote.
+_CELLS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-10**20, 10**20),
+    st.booleans(),
+    st.none(),
+    st.text(st.sampled_from(list('ab ,"\r\n\t;') + ["é"]), max_size=6),
+    st.sampled_from(["", "OK", "REJECTED", ",", '"', "\r", "\n", "\r\n", 'a"b', "a,b"]),
+)
+
+
+def test_csv_rows_are_csv_writer_bytes():
+    # The joined rows of _write's CSV branch, against csv.writer on the same
+    # 17-digit cells: one-cell rows (an empty one is written quoted) included.
+    @hypothesis.settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(header=st.lists(st.text(max_size=4), min_size=1, max_size=4),
+                      rows=st.lists(st.lists(_CELLS, min_size=1, max_size=5), max_size=8))
+    def check(header, rows):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(
+            [header] + [[f"{x:.17g}" if isinstance(x, float) else x for x in row] for row in rows])
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            _write(argparse.Namespace(format="csv", out=None), header, rows)
+        assert out.getvalue() == buf.getvalue()
 
     check()

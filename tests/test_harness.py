@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bohrlab.functionals import FunctionalKind, FunctionalTag
+from bohrlab.functionals import EvaluationReport, FunctionalKind, FunctionalTag
 from bohrlab.harness import (
     NO_CROSSING,
     WitnessNotFoundError,
@@ -113,6 +113,32 @@ class TestEmpiricalRadius:
         f = CoefficientSeries((0.5 + 0j, 0.2 + 0j), 0.5, Certificate.UNKNOWN)
         with pytest.raises(ValueError):
             empirical_radius(FunctionalKind.gap(1, 0), f)
+
+    def test_scan_builds_only_the_bisection_reports(self, monkeypatch):
+        # The scan reads margins from columns; only the bisection builds
+        # reports, one per midpoint inside the crossing's scan step.
+        built = _count_reports(monkeypatch)
+        kind = FunctionalKind.gap(2, 1)
+        assert empirical_radius(kind, proof_extremal(kind)) == 0.6000000004768371
+        assert len(built) == 20
+        assert all(0.6 < report.r < 0.601 for report in built)
+        built.clear()
+        f = CoefficientSeries((0.5 + 0j,), 0.0, Certificate.SCHUR_EXACT)
+        assert empirical_radius(FunctionalKind.gap(1, 0), f) == NO_CROSSING
+        assert built == []
+
+
+def _count_reports(monkeypatch):
+    """Record every EvaluationReport built while ``monkeypatch`` is active."""
+    built = []
+    real = EvaluationReport.__init__
+
+    def counting(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(EvaluationReport, "__init__", counting)
+    return built
 
 
 class TestProofExtremal:
