@@ -17,11 +17,14 @@ uncertified file, for which it prints ``verify``'s warning once on stderr.
 Every kind admits the radii 0 <= r < 0.995: ``verify`` outside them is a
 usage error, and a ``sweep`` row is REJECTED exactly where ``verify`` would
 refuse its radius (r < 0, r >= 0.995 or not finite); it has no value and no
-margin.  ``sweep`` evaluates its accepted radii in one call of
-``harness._grid_columns``, the floats of ``harness.evaluate_grid`` without
-its reports: it reads each block's values, tails and levels, builds no
-report, and each row's margin ``value + tail - level`` is ``verify``'s at
-its radius.  ``verify`` and ``sharpness`` build one report each.  A kind
+margin.  ``sweep`` checks each grid radius once, as it marks the REJECTED
+rows, and evaluates the accepted ones through ``functionals._columns``, the
+floats of ``harness.evaluate_grid`` without its reports: it reads each
+block's value and margin columns, builds no report, and each row's margin
+is ``verify``'s at its radius.  ``verify`` and ``sharpness`` build one
+report each; ``sharpness`` without ``--r`` says when its default radius,
+the sharp radius + 0.01, breaks the radius rule.  A ``selftest --seed``
+that would make a campaign seed negative is a usage error.  A kind
 whose parameters break a hypothesis, I_M weights included, is a usage error
 before anything is evaluated.
 
@@ -48,8 +51,9 @@ import numpy as np
 import orjson
 
 from . import selftest as selftest_mod
-from .functionals import _PARAMETERS, KINDS, FunctionalKind, FunctionalTag, Status
-from .harness import NotSharpError, _grid_columns, evaluate_kind, sharpness_witness
+from .functionals import (_PARAMETERS, KINDS, FunctionalKind, FunctionalTag, Status,
+                          _columns, _read)
+from .harness import NotSharpError, evaluate_kind, sharpness_witness
 from .radii import (
     PARAMETER_CAP,
     NoRootError,
@@ -58,6 +62,7 @@ from .radii import (
     maximal_root,
 )
 from .series import (
+    Certificate,
     LacunarySeries,
     MAX_EVAL_RADIUS,
     RadiusError,
@@ -392,9 +397,11 @@ def _run_sweep(args) -> int:
     certified = True
     if accepted:
         try:
-            certified, blocks = _grid_columns(kind, fdesc, [row[0] for row in accepted])
-            cells = ((v, v + t - lv) for _, values, tails, levels in blocks
-                     for v, t, lv in zip(values, tails, levels))
+            g = _read(kind, fdesc)
+            certified = g.certificate is not Certificate.UNKNOWN
+            cells = ((v, margin) for _, values, _, _, margins
+                     in _columns(kind, g, [row[0] for row in accepted])
+                     for v, margin in zip(values, margins))
             for row, (value, margin) in zip(accepted, cells):
                 row[1:] = [value, margin, "OK"]
         except (ValueError, TypeError) as exc:
@@ -419,6 +426,9 @@ def _run_sharpness(args) -> int:
     except (NotSharpError, NoRootError) as exc:
         raise _UsageError(f"no sharpness witness for {kind.label()}: {exc}")
     except RadiusError as exc:  # a ValueError too, so it is caught first
+        if r is None:
+            raise _UsageError(f"the default radius, the sharp radius + 0.01, is out of "
+                              f"range: {exc}; pass --r")
         raise _UsageError(f"--r must lie in (0, {MAX_EVAL_RADIUS}): {exc}")
     except (ValueError, RuntimeError) as exc:
         print(f"sharpness failure: {exc}", file=sys.stderr)
@@ -446,6 +456,9 @@ def _run_selftest(args) -> int:
             raise _UsageError(f"unknown criterion numbers: {bad}")
     if args.trials is not None and not 1 <= args.trials <= TRIALS_CAP:
         raise _UsageError(f"--trials must lie in [1, {TRIALS_CAP}]")
+    first = min(seed for _, seed in selftest_mod._SAFETY_SUITE)
+    if args.seed is not None and args.seed < -first:  # a campaign seed would be negative
+        raise _UsageError(f"--seed must be >= {-first}: the campaign seeds start at {first}")
     results = selftest_mod.run_selftest(
         numbers, stream=sys.stdout, safety_trials=args.trials,
         safety_seed_offset=args.seed,

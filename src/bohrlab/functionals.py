@@ -12,18 +12,20 @@ Each formula is written once, as a private helper over degree-major moduli
 of shape ``(T+1, ...)`` with a coefficient bound per function (a float or an
 array): it indexes the degree axis first and returns ``(value, tail)``.
 Each kind's row of :data:`KINDS` holds one formula row, ``batch``, built from
-those helpers, and every evaluation runs it.  The scalar path is a batch of
-one, in two layers.  :func:`_columns` checks the radii (every kind admits
-0 <= r < MAX_EVAL_RADIUS) and the kind's support once, then runs the row on
-the series' own arrays and yields each block of radii's values, tails and
-levels as float lists: the columns.  :func:`_evaluate` turns the columns
-into reports (:class:`EvaluationReport`), with margin ``value + tail - level``.
-``harness.evaluate_kind`` and ``harness.evaluate_grid``, the one public way
-to evaluate a kind, return those reports, and ``verify``, the selftest and
-the crossing's bisection read them.  ``sweep`` and the crossing scan of
-``harness.empirical_radius`` read the columns and take each margin with
-the same float expression, so they build no report.  Randomized campaigns
-pass a (T+1, trials) batch, one column per trial, through the same rows.
+those helpers, and each step of an evaluation has one home.  :func:`_read`
+gives the series a kind reads (g of a lacunary input for A_PM, else the
+expanded series, checked against the kind's support).  :func:`_row` runs
+the formula row and the level, and is the one place a margin
+``value + tail - level`` is formed.  :func:`_columns` runs ``_row`` on a
+read series once per block of checked radii (every kind admits
+0 <= r < MAX_EVAL_RADIUS) and yields each block's values, tails, levels and
+margins as float lists: the columns.  The scalar path is a batch of one.
+``harness.evaluate_grid`` and ``evaluate_kind``, the one public way to
+evaluate a kind, turn the columns into reports (:class:`EvaluationReport`),
+which ``verify``, the selftest and the crossing's bisection read; ``sweep``
+and the crossing scan of ``harness.empirical_radius`` read the margin
+column and build no report.  Randomized campaigns pass a (T+1, trials)
+batch, one column per trial, through ``_row`` too.
 The composed center of G_MPN is the only formula that reads the complex
 coefficients: |f(w(r))|^p at w = lam^m, the sharp case of Schwarz's lemma.
 
@@ -77,14 +79,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .radii import RadiusEquation, _check_int, maximal_root
-from .series import (
-    Certificate,
-    CoefficientSeries,
-    LacunarySeries,
-    TailWeight,
-    _check_radius,
-    weighted_tail,
-)
+from .series import CoefficientSeries, LacunarySeries, TailWeight, weighted_tail
 
 __all__ = [
     "ConstraintResult",
@@ -602,91 +597,67 @@ def _lemma_lhs(mods, bound, n: int, r: float):
 
 
 # ---------------------------------------------------------------------------
-# The evaluation path: a kind's formula row on one series, and its reports.
+# The evaluation path: what a kind reads, its formula row, and its columns.
 # ---------------------------------------------------------------------------
 
 
 def _read(kind: FunctionalKind, f: CoefficientSeries | LacunarySeries) -> CoefficientSeries:
-    """The series ``kind``'s row reads: g of ``f = lam^m g(lam^p)`` for a lacunary kind, else f."""
-    return f.g if kind.spec.lacunary else f
+    """The series ``kind``'s row reads: g of ``f = lam^m g(lam^p)`` for a lacunary kind, else f.
 
-
-def _certified(kind: FunctionalKind, f: CoefficientSeries | LacunarySeries) -> bool:
-    """Whether the input's class certificate makes a verdict on ``f`` meaningful."""
-    return _read(kind, f).certificate is not Certificate.UNKNOWN
-
-
-def _columns(
-    kind: FunctionalKind,
-    f: CoefficientSeries | LacunarySeries,
-    radii: Sequence[float],
-    **variant,
-) -> Iterator[tuple[list[float], list[float], list[float], list[float]]]:
-    """``kind``'s ``batch`` row on ``f`` at each of ``radii``, as float columns.
-
-    A lacunary kind reads ``g`` of ``f = lam^m g(lam^p)``; every other kind
-    reads ``f`` itself, whose coefficients must vanish off the kind's
-    support.  ``variant`` (only D_NM's nonzero ``squared_shift``) goes to
-    the row.  Every radius must pass the evaluation-radius rule, and both
-    checks run at the call: RadiusError or SupportError before any block.
-
-    The returned iterator runs one formula pass per block of radii, lazily
-    and in order: a block holds at most ``_RADIUS_BLOCK`` power-table
-    entries.  It yields each block's radii, values, tails and levels, and a
-    radius's margin is ``value + tail - level``.  A block of one radius runs
-    the row on that float; a longer one on a radius axis, which gives every
-    radius exactly its one-radius floats.
+    A lacunary kind needs ``f`` lacunary (TypeError) with the kind's (m, p)
+    (ValueError).  Every other kind reads ``f`` expanded, whose coefficients
+    must vanish off the kind's support (SupportError).
     """
     spec = kind.spec
-    radii = list(map(_check_radius, radii))
-    g = _read(kind, f)
-    mods = g.moduli_array
+    if spec.lacunary:
+        if not isinstance(f, LacunarySeries):
+            raise TypeError(f"{kind.tag.value} needs the lacunary structure (m, p, g)")
+        if (f.m, f.p) != (kind.m, kind.p):
+            raise ValueError(f"kind {kind.label()} does not match the input's (m={f.m}, p={f.p})")
+        return f.g
+    if isinstance(f, LacunarySeries):
+        f = f.expand()
+    mods = f.moduli_array
     m, n = spec.support(kind)
     for s in range(min(n, mods.size)):
         if s != m and mods[s] > _SUPPORT_TOL:
-            raise SupportError(
-                f"coefficient c_{s} = {float(mods[s])!r} violates the support "
-                f"{{{m}}} | {{s >= {n}}}"
-            )
-    return _blocks(spec, kind, g, mods, radii, variant)
+            raise SupportError(f"coefficient c_{s} = {float(mods[s])!r} violates the support "
+                               f"{{{m}}} | {{s >= {n}}}")
+    return f
 
 
-def _blocks(spec: "KindSpec", kind: FunctionalKind, g: CoefficientSeries, mods: np.ndarray,
-            radii: list[float], variant: dict):
-    """:func:`_columns`' iterator, on checked radii and the series the row reads."""
+def _row(kind: FunctionalKind, coeffs, mods, bound, r, **variant):
+    """``kind``'s formula row at ``r``: ``(value, tail, level, margin)``.
+
+    ``coeffs`` and ``mods`` are degree-major, one column per function, with
+    ``bound`` on every dropped coefficient; ``r`` is one radius or a radius
+    axis, and ``variant`` (D_NM's nonzero ``squared_shift``) goes to the row.
+    Every evaluation runs here, and only here is a margin formed.
+    """
+    spec = kind.spec
+    value, tail = spec.batch(kind, coeffs, mods, bound, r, **variant)
+    level = spec.level(kind, mods, r)
+    return value, tail, level, value + tail - level
+
+
+def _columns(kind: FunctionalKind, g: CoefficientSeries, radii: Sequence[float],
+             **variant) -> Iterator[tuple[list[float], ...]]:
+    """:func:`_row` on ``g`` (read by :func:`_read`) at each of ``radii``, as float columns.
+
+    The radii must already pass the evaluation-radius rule.  One formula
+    pass runs per block of radii, lazily and in order: a block holds at most
+    ``_RADIUS_BLOCK`` power-table entries.  Each block yields its radii and
+    their values, tails, levels and margins.  A block of one radius runs the
+    row on that float; a longer one on a radius axis, which gives every
+    radius exactly its one-radius floats.
+    """
+    coeffs, mods, bound = g.coeffs_array, g.moduli_array, g.coefficient_bound
     size = max(1, _RADIUS_BLOCK // mods.size)
     for lo in range(0, len(radii), size):
         block = radii[lo : lo + size]
-        r = block[0] if len(block) == 1 else np.array(block).view(_RadiusAxis)
-        value, tail = spec.batch(kind, g.coeffs_array, mods, g.coefficient_bound, r, **variant)
-        level = spec.level(kind, mods, r)
         count = len(block)
-        yield block, _entries(value, count), _entries(tail, count), _entries(level, count)
-
-
-def _evaluate(
-    kind: FunctionalKind,
-    f: CoefficientSeries | LacunarySeries,
-    radii: Sequence[float],
-    **variant,
-) -> Iterator[EvaluationReport]:
-    """The reports of ``kind`` on ``f`` at each of ``radii``: :func:`_columns` as reports.
-
-    The reports come lazily, in order; the checks run before the first.
-    ``variant`` joins the report's parameters, after the kind's own.
-    """
-    columns = _columns(kind, f, radii, **variant)
-    g = _read(kind, f)
-    shape = "series(" if g is f else f"lacunary(m={f.m}, p={f.p}, "
-    function = f"{shape}T={g.truncation_order}, cert={g.certificate.value})"
-    certified = g.certificate is not Certificate.UNKNOWN
-    params = kind.params()
-    params.update(variant)
-    tag = kind.tag.value
-    for block, values, tails, levels in columns:
-        for radius, v, t, lv in zip(block, values, tails, levels):
-            yield EvaluationReport(v, t, v + t - lv, tag, dict(params), radius,
-                                   function, certified, lv)
+        r = block[0] if count == 1 else np.array(block).view(_RadiusAxis)
+        yield block, *(_entries(x, count) for x in _row(kind, coeffs, mods, bound, r, **variant))
 
 
 def _entries(x, count: int) -> list[float]:
@@ -752,9 +723,9 @@ class KindSpec:
     ``radius`` is None where the inequality holds at every radius below 1.
     ``batch`` is the kind's one formula: the values and tails of degree-major
     coefficient rows, complex and as moduli, with their coefficient bounds.
-    Every evaluation runs it, on one series or on a campaign block, and takes
-    the margins value + tail - ``level(kind, mods, r)``.  A ``lacunary`` kind
-    reads g of lam^m g(lam^p).
+    Every evaluation runs it through :func:`_row`, on one series or on a
+    campaign block, with the margins value + tail - ``level(kind, mods, r)``.
+    A ``lacunary`` kind reads g of lam^m g(lam^p).
     ``support`` is (m, N): the coefficients vanish off {m} | {s >= N}.  An
     evaluation checks it; a campaign trial is lam^m g, with N - m - 1 zero
     Schur parameters inserted after g's first.

@@ -6,10 +6,11 @@ reproduces the extremal constructions that push each functional above 1 just
 past its sharp radius, and runs seeded random sweeps over disk self-maps
 whose margins must stay nonpositive at the theorem radius.
 
-Campaigns evaluate a whole batch of sampled functions at once, through the
-same formula row of each kind (``KINDS[...].batch``) that every scalar
-evaluation runs on a single column; only the input checks and the reports
-are per function.
+Every evaluation runs a kind's formula row, level and margin through
+``functionals._row``: :func:`evaluate_grid` on the columns of one input,
+the crossing scan on its margin column, and campaigns on a whole batch of
+sampled functions at once; only the input checks and the reports are per
+function.
 
 Campaign functions come from ``count`` Schur parameters (8, plus the zeros a
 gap kind inserts).  The numerator and denominator of their continued fraction
@@ -58,11 +59,12 @@ from .functionals import (
     FunctionalKind,
     NotSharpError,
     Status,
-    _certified,
     _columns,
-    _evaluate,
+    _read,
+    _row,
 )
 from .series import (
+    Certificate,
     CoefficientSeries,
     LacunarySeries,
     _check_radius,
@@ -164,7 +166,7 @@ def evaluate_kind(
     This and :func:`evaluate_grid` are the one public way to evaluate a
     kind.  A_PM takes the lacunary structure; the remaining kinds evaluate
     the expanded series.  The kind's formula row runs on the series' own
-    arrays (see ``functionals._evaluate``).  For LEMMA_TAIL the report's
+    arrays (see ``functionals._row``).  For LEMMA_TAIL the report's
     margin is taken against the bound's right side instead of 1, so
     margin <= 0 still means "holds".
 
@@ -184,40 +186,25 @@ def evaluate_grid(
 ) -> Iterator[EvaluationReport]:
     """The report of :func:`evaluate_kind` at each of ``radii``, lazily and in order.
 
-    The formula row runs once per block of radii, and each report equals
-    ``evaluate_kind`` at its radius byte for byte.  A radius that breaks the
-    evaluation-radius rule raises RadiusError before any report, and a
-    negative ``squared_shift`` raises ValueError at the call.
+    The formula row runs once per block of radii (``functionals._columns``),
+    and each report equals ``evaluate_kind`` at its radius byte for byte.
+    The checks run at the call, in this order: a negative ``squared_shift``
+    (ValueError), the input as the kind reads it (``functionals._read``),
+    then every radius (RadiusError).
     """
     if squared_shift < 0:
         raise ValueError("squared_shift must be >= 0")
     variant = {"squared_shift": squared_shift} if squared_shift else {}
-    return _evaluate(kind, _kind_input(kind, f), radii, **variant)
-
-
-def _grid_columns(kind: FunctionalKind, f: CoefficientSeries | LacunarySeries, radii: list[float]):
-    """:func:`evaluate_grid`'s floats without its reports: ``(certified, blocks)``.
-
-    ``blocks`` yields each block's radii, values, tails and levels (see
-    ``functionals._columns``); a margin is ``value + tail - level``, as in a
-    report.  The input and its radii are checked at the call.
-    """
-    f = _kind_input(kind, f)
-    return _certified(kind, f), _columns(kind, f, radii)
-
-
-def _kind_input(kind: FunctionalKind, f: CoefficientSeries | LacunarySeries):
-    """``f`` as ``kind`` reads it: lacunary for A_PM, expanded for every other kind."""
-    if kind.spec.lacunary:
-        if not isinstance(f, LacunarySeries):
-            raise TypeError(f"{kind.tag.value} needs the lacunary structure (m, p, g)")
-        if (f.m, f.p) != (kind.m, kind.p):
-            raise ValueError(
-                f"kind {kind.label()} does not match the input's (m={f.m}, p={f.p})"
-            )
-    elif isinstance(f, LacunarySeries):
-        f = f.expand()
-    return f
+    g = _read(kind, f)
+    radii = list(map(_check_radius, radii))
+    shape = f"lacunary(m={f.m}, p={f.p}, " if kind.spec.lacunary else "series("
+    function = f"{shape}T={g.truncation_order}, cert={g.certificate.value})"
+    certified = g.certificate is not Certificate.UNKNOWN
+    params = {**kind.params(), **variant}
+    tag = kind.tag.value
+    return (EvaluationReport(v, t, margin, tag, dict(params), radius, function, certified, lv)
+            for block, values, tails, levels, margins in _columns(kind, g, radii, **variant)
+            for radius, v, t, lv, margin in zip(block, values, tails, levels, margins))
 
 
 def empirical_radius(
@@ -226,20 +213,19 @@ def empirical_radius(
     """Smallest r in (0, 0.99] with a VIOLATED report, or the NO_CROSSING sentinel.
 
     Scans with step 1e-3 and bisects the first crossing down to width 1e-9.
-    The scan reads the margins of its radii k * 1e-3 from ascending blocks
-    of columns, building no report, and stops at the first block holding a
-    margin that is not <= 0 (a VIOLATED report); the bisection evaluates one
-    radius at a time with :func:`evaluate_kind`.  The input must carry a
-    certificate; margins of uncertified functions say nothing about the
-    inequalities.
+    The scan reads the margin column of its radii k * 1e-3 block by block
+    (``functionals._columns``), building no report, and stops at the first
+    block holding a margin that is not <= 0 (a VIOLATED report); the
+    bisection evaluates one radius at a time with :func:`evaluate_kind`.
+    The input must carry a certificate; margins of uncertified functions
+    say nothing about the inequalities.
     """
-    f = _kind_input(kind, f)
-    scan = [k * _SCAN_STEP for k in range(1, round(NO_CROSSING / _SCAN_STEP) + 1)]
-    certified, blocks = _grid_columns(kind, f, scan)
-    if not certified:
+    g = _read(kind, f)
+    if g.certificate is Certificate.UNKNOWN:
         raise ValueError("empirical radii require a certified disk self-map")
-    margins = (v + t - lv for _, values, tails, levels in blocks
-               for v, t, lv in zip(values, tails, levels))
+    f = f if kind.spec.lacunary else g  # expanded once, for the bisection
+    scan = [k * _SCAN_STEP for k in range(1, round(NO_CROSSING / _SCAN_STEP) + 1)]
+    margins = (mg for *_, block_margins in _columns(kind, g, scan) for mg in block_margins)
     for k, margin in enumerate(margins, start=1):
         if not margin <= 0.0:
             break
@@ -498,8 +484,7 @@ def _batch_margins(
     block could round its trials differently.
     """
     T = _campaign_truncation(kind, r)
-    spec = kind.spec
-    m = spec.support(kind)[0]
+    m = kind.spec.support(kind)[0]
     draw = isinstance(params, np.random.Generator)
     if not draw:
         trials = params.shape[0]
@@ -511,8 +496,7 @@ def _batch_margins(
         coeffs, bound = _batch_schur(_shape_parameters(kind, rows), T)
         if m:  # the trial is lam^m g: m leading zero rows; the bound stays g's
             coeffs = np.concatenate((np.zeros((m, hi - lo), dtype=complex), coeffs))
-        mods = np.abs(coeffs)
-        value, tail = spec.batch(kind, coeffs, mods, bound, r)
-        margins[lo:hi] = value + tail - spec.level(kind, mods, r)
+        _, tail, _, margin = _row(kind, coeffs, np.abs(coeffs), bound, r)
+        margins[lo:hi] = margin
         tails[lo:hi] = tail
     return margins, tails

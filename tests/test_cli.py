@@ -171,6 +171,18 @@ class TestVerifyCommand:
                    "--m", "1", "--r", "0.4"])
         assert rc == EXIT_USAGE
 
+    def test_input_is_read_before_the_radius_is_checked(self, tmp_path, capsys):
+        # A file off D_NM(1,3)'s support at a refused radius: the input's
+        # rules come first, so the support is reported, not the radius.  A
+        # sweep whose every radius is REJECTED evaluates nothing.
+        path = _write_mobius(tmp_path)
+        kind = ["--kind", "D_NM", "--n", "3", "--m", "1"]
+        assert main(["verify", "--file", path, *kind, "--r", "2"]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "usage error: coefficient c_0 = 0.5 violates the support {1} | {s >= 3}\n")
+        assert main(["sweep", "--file", path, *kind, "--grid", "2:3:2"]) == EXIT_OK
+        assert [row[3] for row in _rows(capsys.readouterr().out)[1:]] == ["REJECTED"] * 2
+
     def test_nan_coefficient_is_parse_error(self, tmp_path, capsys):
         data = series_to_json(mobius_series(0.5, 50))
         data["coeffs"][3] = [float("nan"), 0.0]
@@ -605,6 +617,25 @@ class TestSweepCommand:
                      "--n", "1", "--m", "0", "--r", "0.3"]) == EXIT_OK
         assert len(built) == 1
 
+    def test_checks_each_radius_once(self, tmp_path, capsys, monkeypatch):
+        # The radius rule runs where the grid enters: once per grid point.
+        from bohrlab import series
+
+        real, calls = series._check_radius, []
+
+        def counted(r):
+            calls.append(r)
+            return real(r)
+
+        for modname, mod in list(sys.modules.items()):
+            if modname.startswith("bohrlab") and getattr(mod, "_check_radius", None) is real:
+                monkeypatch.setattr(mod, "_check_radius", counted)
+        assert main(["sweep", "--file", _write_mobius(tmp_path), "--kind", "D_NM",
+                     "--n", "1", "--m", "0", "--grid", "0:1.2:100"]) == EXIT_OK
+        statuses = [row[3] for row in _rows(capsys.readouterr().out)[1:]]
+        assert statuses.count("OK") == 83 and statuses.count("REJECTED") == 17
+        assert len(calls) == 100
+
     def test_bad_grid_usage_error(self, tmp_path, capsys):
         path = _write_mobius(tmp_path)
         assert main(["sweep", "--file", path, "--kind", "D_NM", "--n", "1",
@@ -694,10 +725,18 @@ class TestSharpnessCommand:
     @pytest.mark.parametrize("extra", [[], ["--r", "0.999"]])
     def test_witness_radius_past_the_rule_usage_error(self, capsys, extra):
         # sharp radius 0.99205: the default witness radius (+ 0.01) breaks
-        # the radius rule exactly as the same radius given as --r does
+        # the radius rule exactly as the same radius given as --r does, and
+        # the message blames --r only where --r was given
         rc = main(["sharpness", "--kind", "A_PM", "--p", "64", "--m", "64", *extra])
         assert rc == EXIT_USAGE
-        assert "usage error: --r must lie in" in capsys.readouterr().err
+        if extra:
+            want = ("usage error: --r must lie in (0, 0.995): radius 0.999 outside "
+                    "the supported range [0, 0.995)\n")
+        else:
+            want = ("usage error: the default radius, the sharp radius + 0.01, is out of "
+                    "range: radius 1.0020501184213295 outside the supported range "
+                    "[0, 0.995); pass --r\n")
+        assert capsys.readouterr().err == want
 
 
 class TestParserReuse:
@@ -949,6 +988,23 @@ class TestSelftestCommand:
             rc = main(["selftest", "--only", "4", "--trials", str(trials)])
             assert rc == EXIT_USAGE
             assert "--trials" in capsys.readouterr().err
+
+    def test_seed_making_a_campaign_seed_negative_is_a_usage_error(self, capsys, monkeypatch):
+        import bohrlab.selftest as st
+
+        # The smallest campaign seed is 101: --seed -101 makes it 0 and runs.
+        assert main(["selftest", "--only", "4", "--trials", "5", "--seed", "-101"]) == EXIT_OK
+        assert "1/1 criteria passed" in capsys.readouterr().out
+
+        def no_campaign(*args, **kwargs):
+            raise AssertionError("a campaign was started")
+
+        monkeypatch.setattr(st, "random_campaign", no_campaign)
+        for seed in ("-102", "-1000"):
+            rc = main(["selftest", "--only", "4", "--trials", "5", "--seed", seed])
+            assert rc == EXIT_USAGE
+            assert capsys.readouterr().err == (
+                "usage error: --seed must be >= -101: the campaign seeds start at 101\n")
 
     def test_tampered_constant_fails_named_criterion(self, capsys, monkeypatch):
         import bohrlab.selftest as st

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bohrlab.functionals import EvaluationReport, FunctionalKind, FunctionalTag
+from bohrlab.functionals import EvaluationReport, FunctionalKind, FunctionalTag, SupportError
 from bohrlab.harness import (
     NO_CROSSING,
     WitnessNotFoundError,
@@ -17,6 +17,7 @@ from bohrlab.harness import (
     _shape_parameters,
     campaign_function,
     empirical_radius,
+    evaluate_grid,
     evaluate_kind,
     proof_extremal,
     random_campaign,
@@ -28,6 +29,7 @@ from bohrlab.series import (
     Certificate,
     CoefficientSeries,
     LacunarySeries,
+    RadiusError,
     default_truncation,
     mobius_minus_series,
     mobius_series,
@@ -82,6 +84,17 @@ class TestEvaluateKind:
         rep = evaluate_kind(FunctionalKind.gap(2, 1), fam, 0.4)
         expected = 0.4 * (0.3 + (1 - 0.09) * 0.4 / 0.6)
         assert rep.value == pytest.approx(expected, abs=1e-10)
+
+    def test_checks_run_at_the_call_input_before_radii(self):
+        # evaluate_grid reads the input (shape, expansion, support) and then
+        # checks every radius, all before its first report.
+        off_support = mobius_series(0.3, 40)  # c_0 = 0.3, off D_NM(1,3)'s support
+        with pytest.raises(SupportError):
+            evaluate_grid(FunctionalKind.gap(3, 1), off_support, [0.2, 2.0])
+        with pytest.raises(TypeError):
+            evaluate_grid(FunctionalKind.lacunary(1, 0), off_support, [2.0])
+        with pytest.raises(RadiusError):
+            evaluate_grid(FunctionalKind.gap(1, 0), off_support, [0.2, 2.0])
 
     def test_lemma_margin_is_against_rhs(self):
         f = mobius_series(0.4, 150)
