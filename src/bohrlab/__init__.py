@@ -50,7 +50,6 @@ from .series import (
     TailWeight,
     default_truncation,
     mobius_series,
-    mobius_minus_series,
     schur_from_parameters,
     series_from_json,
     series_to_json,

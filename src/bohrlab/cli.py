@@ -4,9 +4,9 @@ Exit statuses are a stable contract:
 
 * 0 success (``verify``: HOLDS, a certified input with margin <= 0)
 * 1 inequality violation (``verify``: VIOLATED, margin > 0 or NaN), or a
-  failed selftest/witness
+  failed selftest/witness (``sharpness``: no candidate cleared 1 + 1e-6)
 * 2 usage error (unknown flags, bad parameters, exceeded caps, an
-  unwritable ``--out``)
+  unwritable ``--out``, a ``sharpness --r`` at or below the sharp radius)
 * 3 parse error (unreadable or malformed function file)
 * 4 uncertified input (``verify``: UNCERTIFIED; evaluated and printed, but
   the verdict is informational)
@@ -53,7 +53,7 @@ import orjson
 from . import selftest as selftest_mod
 from .functionals import (_PARAMETERS, KINDS, FunctionalKind, FunctionalTag, Status,
                           _columns, _read)
-from .harness import NotSharpError, evaluate_kind, sharpness_witness
+from .harness import NotSharpError, WitnessNotFoundError, evaluate_kind, sharpness_witness
 from .radii import (
     PARAMETER_CAP,
     NoRootError,
@@ -430,13 +430,13 @@ def _run_sharpness(args) -> int:
             raise _UsageError(f"the default radius, the sharp radius + 0.01, is out of "
                               f"range: {exc}; pass --r")
         raise _UsageError(f"--r must lie in (0, {MAX_EVAL_RADIUS}): {exc}")
-    except (ValueError, RuntimeError) as exc:
+    except ValueError as exc:  # a radius at or below the sharp radius
+        raise _UsageError(str(exc))
+    except WitnessNotFoundError as exc:
         print(f"sharpness failure: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    row = [kind.label(), witness.r, witness.witness_param, witness.value,
-           witness.tail_error, witness.exceeds_one]
-    _write(args, ["kind", "r", "witness_param", "value", "tail_error", "exceeds_one"],
-           [row], witness.to_json())
+    payload = witness.to_json()  # the CSV row is the JSON object's fields, in order
+    _write(args, list(payload), [list(payload.values())], payload)
     return EXIT_OK
 
 

@@ -729,7 +729,7 @@ class KindSpec:
     ``support`` is (m, N): the coefficients vanish off {m} | {s >= N}.  An
     evaluation checks it; a campaign trial is lam^m g, with N - m - 1 zero
     Schur parameters inserted after g's first.
-    ``family`` is the p of the proof's extremal lam^m phi_a(lam^p), raising
+    ``family`` is the p of the proof's extremal lam^m phi_{-a}(lam^p), raising
     NotSharpError where the proofs give no witness; None: Mobius maps, a -> 1.
     """
 

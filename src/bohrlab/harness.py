@@ -4,7 +4,9 @@ This module ties the radius equations to the functional evaluators: it finds
 the first radius at which a concrete function's margin turns positive,
 reproduces the extremal constructions that push each functional above 1 just
 past its sharp radius, and runs seeded random sweeps over disk self-maps
-whose margins must stay nonpositive at the theorem radius.
+whose margins must stay nonpositive at the theorem radius.  Every witness
+is a member of one family, the disk automorphisms phi_a, built in one place
+and searched in one candidate loop that fails with one WitnessNotFoundError.
 
 Every evaluation runs a kind's formula row, level and margin through
 ``functionals._row``: :func:`evaluate_grid` on the columns of one input,
@@ -69,7 +71,6 @@ from .series import (
     LacunarySeries,
     _check_radius,
     default_truncation,
-    mobius_minus_series,
     mobius_series,
     schur_from_parameters,
 )
@@ -95,6 +96,9 @@ NO_CROSSING = 0.99
 _SCAN_STEP = 1e-3
 _SCAN_TRUNCATION_RADIUS = 0.93  # truncation sized for the scan's useful range
 _WITNESS_CAP = 1.0 - 1e-6
+#: The limit kinds' witness candidates a = 1 - 2^-k, ascending up to the cap.
+_ASCENT = tuple(itertools.takewhile(lambda a: a <= _WITNESS_CAP,
+                                    (1.0 - 0.5**k for k in itertools.count(1))))
 _EXCEED_BY = 1e-6  # cushion a witness's value must clear above 1
 _PARAM_COUNT = 8
 _SAMPLE_RADIUS = 0.98
@@ -103,12 +107,16 @@ _TRIAL_LIMIT = 2**124  # 2 * _PARAM_COUNT * trial steps stay below the PCG64 per
 
 
 class WitnessNotFoundError(RuntimeError):
-    """No witness below the parameter cap; the proofs guarantee one exists."""
+    """No candidate's value cleared 1 + 1e-6; the proofs guarantee a witness exists."""
 
 
 @dataclass(frozen=True)
 class WitnessReport:
-    """One sharpness witness: the extremal parameter and its recomputed value."""
+    """One sharpness witness: the extremal parameter and its recomputed value.
+
+    ``exceeds_one`` is True on every witness returned, kept for the output
+    contract; ROADMAP item 4 deletes it together with a benchmark change.
+    """
 
     kind: FunctionalKind
     r: float
@@ -241,7 +249,7 @@ def empirical_radius(
 
 
 def _family_parameter(m: int, p: int, radius: float, r: float) -> float:
-    # The proof's a for lam^m phi_a(lam^p): fixed by the sharp radius for
+    # The proof's a for lam^m phi_{-a}(lam^p): fixed by the sharp radius for
     # m >= 1, and a = 1/(2c) with c the tail factor at r for m = 0.
     if m >= 1:
         r0p = radius**p
@@ -249,6 +257,14 @@ def _family_parameter(m: int, p: int, radius: float, r: float) -> float:
     rp = r**p
     c = rp / (1.0 - rp)  # > 1/2 above the radius
     return 1.0 / (2.0 * c)
+
+
+def _family_member(kind: FunctionalKind, family: int | None, a: float, T: int):
+    """The family member at ``a`` to order ``T``: lam^m phi_{-a}(lam^p), p = ``family``,
+    or phi_a(lam) = (a + lam)/(1 + a lam) itself where ``family`` is None (a limit kind)."""
+    if family is None:
+        return mobius_series(a, T)
+    return LacunarySeries(kind.m, family, mobius_series(-a, T))
 
 
 def proof_extremal(kind: FunctionalKind) -> LacunarySeries:
@@ -264,60 +280,38 @@ def proof_extremal(kind: FunctionalKind) -> LacunarySeries:
         raise ValueError(f"no proof-optimal extremal is defined for {kind.label()}")
     r0 = theorem_radius(kind)
     a = _family_parameter(kind.m, family, r0, r0)
-    T = default_truncation(_SCAN_TRUNCATION_RADIUS)
-    return LacunarySeries(kind.m, family, mobius_minus_series(a, T))
+    return _family_member(kind, family, a, default_truncation(_SCAN_TRUNCATION_RADIUS))
 
 
 def sharpness_witness(kind: FunctionalKind, r: float | None = None) -> WitnessReport:
     """Construct the proof's witness pushing the functional above 1 at ``r``.
 
     ``r`` defaults to the sharp radius + 0.01; either way it must pass the
-    evaluation-radius rule (RadiusError).  The lacunary and gap sums use
-    the explicit optimizing parameter (the m = 0 branches use a = 1/(2c) with
-    c the relevant tail factor); the composed-center and improved kinds search
-    the ascending schedule a = 1 - 2^-k, capped at 1 - 1e-6, because their
-    witnesses only exist in the limit a -> 1.  Raises NotSharpError, before
-    any root is isolated, where the proofs give no witness, and
-    WitnessNotFoundError if the cap is exhausted, which signals an
-    implementation bug: the proofs guarantee existence.
+    evaluation-radius rule (RadiusError) and lie above the sharp radius
+    (ValueError).  One loop evaluates the family member at each candidate a
+    in turn and returns the first whose value clears 1 + 1e-6: the lacunary
+    and gap sums' one explicit optimizing parameter (a = 1/(2c), c the tail
+    factor, at m = 0), or the composed-center and improved kinds' ascent
+    ``_ASCENT``, whose witnesses exist only in the limit a -> 1.  Raises
+    NotSharpError, before any root is isolated, where the proofs give no
+    witness, and WitnessNotFoundError, naming the largest value reached, if
+    no candidate clears it: an implementation bug, as the proofs guarantee one.
     """
     family = kind.spec.family(kind)
     radius = theorem_radius(kind)  # raises NotSharpError before any root
     r = _check_radius(radius + 0.01 if r is None else r)
     if r <= radius:
-        raise ValueError(
-            f"witnesses exist only above the sharp radius {radius!r}, got {r!r}"
-        )
+        raise ValueError(f"witnesses exist only above the sharp radius {radius!r}, got {r!r}")
     T = default_truncation(r)
-
-    if family is not None:
-        a = _family_parameter(kind.m, family, radius, r)
-        witness = _witness(kind, r, a, LacunarySeries(kind.m, family, mobius_minus_series(a, T)))
-        if not witness.exceeds_one:
-            raise WitnessNotFoundError(
-                f"the construction for {kind.label()} reached only {witness.value!r} at r={r!r}"
-            )
-        return witness
-
-    # Limit-argument kinds: ascend a = 1 - 2^-k until the value clears 1.
-    for k in itertools.count(1):
-        a = 1.0 - 0.5**k
-        if a > _WITNESS_CAP:
-            raise WitnessNotFoundError(
-                f"no witness for {kind.label()} at r={r!r} below the parameter cap"
-            )
-        witness = _witness(kind, r, a, mobius_series(a, T))
-        if witness.exceeds_one:
-            return witness
-
-
-def _witness(
-    kind: FunctionalKind, r: float, a: float, f: CoefficientSeries | LacunarySeries
-) -> WitnessReport:
-    """The witness report of ``f``, the family member at parameter ``a``, at ``r``."""
-    rep = evaluate_kind(kind, f, r)
-    exceeds = bool(rep.value > 1.0 + _EXCEED_BY)
-    return WitnessReport(kind, r, float(a), rep.value, rep.tail_error, exceeds)
+    candidates = _ASCENT if family is None else [_family_parameter(kind.m, family, radius, r)]
+    best = -np.inf
+    for a in candidates:
+        rep = evaluate_kind(kind, _family_member(kind, family, a, T), r)
+        if rep.value > 1.0 + _EXCEED_BY:
+            return WitnessReport(kind, r, a, rep.value, rep.tail_error, True)
+        best = max(best, rep.value)
+    raise WitnessNotFoundError(
+        f"no witness for {kind.label()} at r={r!r}: the largest value reached is {best!r}")
 
 
 def random_campaign(

@@ -29,7 +29,7 @@ from .series import (
     CoefficientSeries,
     LacunarySeries,
     default_truncation,
-    mobius_minus_series,
+    mobius_series,
     schur_from_parameters,
 )
 from .spaces import (
@@ -93,7 +93,7 @@ def check_extremal_closed_forms() -> tuple[bool, str]:
     for p, m in ((1, 0), (2, 1), (3, 2)):
         kind = FunctionalKind.lacunary(p, m)
         for a in grid:
-            fam = LacunarySeries(m, p, mobius_minus_series(a, T))
+            fam = LacunarySeries(m, p, mobius_series(-a, T))
             for r, report in zip(grid, evaluate_grid(kind, fam, grid)):
                 rp = r**p
                 expected = r**m * (a + (1.0 - a * a) * rp / (1.0 - rp))
@@ -101,7 +101,7 @@ def check_extremal_closed_forms() -> tuple[bool, str]:
     for m in (0, 1, 2):
         kind = FunctionalKind.gap(m + 1, m)
         for a in grid:
-            series = LacunarySeries(m, 1, mobius_minus_series(a, T)).expand()
+            series = LacunarySeries(m, 1, mobius_series(-a, T)).expand()
             for r, report in zip(grid, evaluate_grid(kind, series, grid)):
                 expected = r**m * (a + (1.0 - a * a) * r / (1.0 - r))
                 worst = max(worst, abs(report.value - expected))
@@ -154,10 +154,7 @@ def check_sharpness_suite() -> tuple[bool, str]:
         FunctionalKind.rogosinski_center(2.0, 1),
         FunctionalKind.improved((8.0 / 9.0,)),
     ]
-    least = np.inf
-    for kind in kinds:
-        witness = sharpness_witness(kind)  # at the sharp radius + 0.01
-        least = min(least, witness.value - 1.0)
+    least = min(sharpness_witness(kind).value - 1.0 for kind in kinds)  # at r* + 0.01
 
     # The m = 0 branch takes a = 1/(2c) and lands exactly on c + 1/(4c).
     r = 1.0 / 3.0 + 0.01

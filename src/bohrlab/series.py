@@ -34,7 +34,6 @@ __all__ = [
     "TAIL_TARGET",
     "default_truncation",
     "mobius_series",
-    "mobius_minus_series",
     "schur_from_parameters",
     "series_from_json",
     "series_to_json",
@@ -220,30 +219,21 @@ class LacunarySeries:
 
 
 def mobius_series(a: float, truncation_order: int) -> CoefficientSeries:
-    """Coefficients of ``lam -> (a + lam) / (1 + a*lam)`` for ``0 <= a < 1``.
+    """Coefficients of ``lam -> (a + lam) / (1 + a*lam)`` for ``-1 < a < 1``.
 
     The closed form is c_0 = a and c_s = (1 - a^2) (-a)^(s-1) for s >= 1, so
-    every dropped coefficient is bounded by (1 - a^2) a^T.
+    every dropped coefficient is bounded by (1 - a^2) |a|^T.  The extremal
+    families' ``(lam - a) / (1 - a*lam)`` is ``mobius_series(-a, T)``.
     """
-    a = _check_unit_interval(a)
+    a = float(a)
+    if not -1.0 < a < 1.0:
+        raise ValueError(f"parameter a must lie in (-1, 1), got {a!r}")
     if truncation_order < 1:
         raise ValueError("truncation_order must be >= 1")
     one_minus = 1.0 - a * a
     coeffs = [complex(a)]
     coeffs += [complex(one_minus * (-a) ** (s - 1)) for s in range(1, truncation_order + 1)]
-    bound = one_minus * a**truncation_order
-    return CoefficientSeries(coeffs, bound, Certificate.SCHUR_EXACT)
-
-
-def mobius_minus_series(a: float, truncation_order: int) -> CoefficientSeries:
-    """Coefficients of ``lam -> (lam - a) / (1 - a*lam)``: c_0 = -a, c_s = (1-a^2) a^(s-1)."""
-    a = _check_unit_interval(a)
-    if truncation_order < 1:
-        raise ValueError("truncation_order must be >= 1")
-    one_minus = 1.0 - a * a
-    coeffs = [complex(-a)]
-    coeffs += [complex(one_minus * a ** (s - 1)) for s in range(1, truncation_order + 1)]
-    bound = one_minus * a**truncation_order
+    bound = one_minus * abs(a) ** truncation_order
     return CoefficientSeries(coeffs, bound, Certificate.SCHUR_EXACT)
 
 
@@ -412,9 +402,3 @@ def json_number(value, name: str) -> float:
         raise ValueError(f"{name} must be a JSON number, got {value!r}")
     return float(value)
 
-
-def _check_unit_interval(a: float) -> float:
-    a = float(a)
-    if not 0.0 <= a < 1.0:
-        raise ValueError(f"parameter a must lie in [0, 1), got {a!r}")
-    return a

@@ -22,7 +22,6 @@ from bohrlab.cli import (
 )
 from bohrlab.series import (
     LacunarySeries,
-    mobius_minus_series,
     mobius_series,
     series_to_json,
 )
@@ -125,7 +124,7 @@ class TestVerifyCommand:
     def test_witness_instance_fails(self, tmp_path, capsys):
         # the proof's parameter at r = 0.5: a = 1/(2c) with c = r/(1-r) = 1
         path = tmp_path / "w.json"
-        path.write_text(json.dumps(series_to_json(mobius_minus_series(0.5, 300))))
+        path.write_text(json.dumps(series_to_json(mobius_series(-0.5, 300))))
         rc = main(["verify", "--file", str(path), "--kind", "D_NM", "--n", "1",
                    "--m", "0", "--r", "0.5"])
         assert rc == EXIT_VIOLATION
@@ -157,14 +156,14 @@ class TestVerifyCommand:
         assert _WEIGHT_ERRORS.get(d, _NOT_FINITE) in capsys.readouterr().err
 
     def test_lacunary_kind_from_file(self, tmp_path, capsys):
-        fam = LacunarySeries(1, 2, mobius_minus_series(0.4, 150))
+        fam = LacunarySeries(1, 2, mobius_series(-0.4, 150))
         path = tmp_path / "lac.json"
         path.write_text(json.dumps(series_to_json(fam)))
         rc = main(["verify", "--file", str(path), "--kind", "A_PM", "--r", "0.4"])
         assert rc == EXIT_OK
 
     def test_lacunary_kind_mismatch(self, tmp_path, capsys):
-        fam = LacunarySeries(1, 2, mobius_minus_series(0.4, 150))
+        fam = LacunarySeries(1, 2, mobius_series(-0.4, 150))
         path = tmp_path / "lac.json"
         path.write_text(json.dumps(series_to_json(fam)))
         rc = main(["verify", "--file", str(path), "--kind", "A_PM", "--p", "3",
@@ -492,7 +491,7 @@ class TestMalformedFiles:
 
 class TestSweepCommand:
     def test_monotone_value_for_extremal(self, tmp_path, capsys):
-        fam = LacunarySeries(1, 2, mobius_minus_series(0.3, 400))
+        fam = LacunarySeries(1, 2, mobius_series(-0.3, 400))
         path = tmp_path / "fam.json"
         path.write_text(json.dumps(series_to_json(fam)))
         rc = main(["sweep", "--file", str(path), "--kind", "A_PM",
@@ -665,9 +664,26 @@ class TestSharpnessCommand:
         assert "usage error" in capsys.readouterr().err
 
     def test_below_radius_fails(self, capsys):
-        rc = main(["sharpness", "--kind", "A_PM", "--p", "1", "--m", "1",
-                   "--r", "0.1"])
-        assert rc == EXIT_VIOLATION
+        # no witness exists at or below the sharp radius: a bad parameter
+        for kind, r, radius in ((["--kind", "A_PM", "--p", "1", "--m", "1"], "0.1", "0.6"),
+                                (["--kind", "I_M", "--d", "0.8888888888888888"], "0.2",
+                                 "0.3333333333333333")):
+            assert main(["sharpness", *kind, "--r", r]) == EXIT_USAGE
+            assert capsys.readouterr() == ("", "usage error: witnesses exist only above "
+                                               f"the sharp radius {radius}, got {r}\n")
+
+    @pytest.mark.parametrize("kind, label, reached", [
+        (["--kind", "A_PM", "--p", "1", "--m", "0"], "A_PM(p=1,m=0)", "1.000000719712344"),
+        (["--kind", "H_PN", "--p-exp", "1.0", "--n", "1"], "H_PN(n=1,p_exp=1.0)",
+         "1.0000006949343447"),
+    ])
+    def test_no_candidate_clears_the_cushion_fails(self, capsys, kind, label, reached):
+        # ROADMAP item 8: 2.7e-4 past the sharp radius 1/3 neither the family
+        # kind's one candidate nor the limit kind's ascent clears 1 + 1e-6.
+        # These flip to exit 0 once sharpness is certified.
+        assert main(["sharpness", *kind, "--r", "0.3336"]) == EXIT_VIOLATION
+        assert capsys.readouterr() == ("", f"sharpness failure: no witness for {label} at "
+                                           f"r=0.3336: the largest value reached is {reached}\n")
 
     @pytest.mark.parametrize("extra", [[], ["--r", "0.5"]])
     def test_zero_gap_usage_error(self, capsys, extra):

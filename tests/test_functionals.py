@@ -27,7 +27,6 @@ from bohrlab.series import (
     LacunarySeries,
     RadiusError,
     default_truncation,
-    mobius_minus_series,
     mobius_series,
     schur_from_parameters,
 )
@@ -57,7 +56,7 @@ class TestLacunarySum:
     def test_extremal_closed_form(self, p, m):
         T = default_truncation(0.9)
         for a in (0.1, 0.5, 0.9):
-            fam = LacunarySeries(m, p, mobius_minus_series(a, T))
+            fam = LacunarySeries(m, p, mobius_series(-a, T))
             for r in (0.2, 0.55, 0.85):
                 rep = evaluate_kind(FunctionalKind.lacunary(p, m), fam, r)
                 rp = r**p
@@ -78,7 +77,7 @@ class TestLacunarySum:
         assert rep.margin <= 0.0
 
     def test_hypothesis_range_enforced(self):
-        fam = LacunarySeries(3, 2, mobius_minus_series(0.5, 10))  # m > p
+        fam = LacunarySeries(3, 2, mobius_series(-0.5, 10))  # m > p
         with pytest.raises(ValueError):
             evaluate_kind(FunctionalKind.lacunary(2, 3), fam, 0.4)
 
@@ -87,7 +86,7 @@ class TestLacunarySum:
             FunctionalKind.lacunary(0, 0)
 
     def test_radius_rejection(self):
-        fam = LacunarySeries(0, 1, mobius_minus_series(0.5, 10))
+        fam = LacunarySeries(0, 1, mobius_series(-0.5, 10))
         with pytest.raises(RadiusError):
             evaluate_kind(FunctionalKind.lacunary(1, 0), fam, 0.995)
         # r = 0 is admitted, as by every evaluator: only |g_0| is left
@@ -98,8 +97,8 @@ class TestLacunarySum:
         # a short truncation's value + tail must cover the long evaluation
         a, p, m, r = 0.85, 2, 1, 0.8
         kind = FunctionalKind.lacunary(p, m)
-        short = evaluate_kind(kind, LacunarySeries(m, p, mobius_minus_series(a, 40)), r)
-        long = evaluate_kind(kind, LacunarySeries(m, p, mobius_minus_series(a, 2000)), r)
+        short = evaluate_kind(kind, LacunarySeries(m, p, mobius_series(-a, 40)), r)
+        long = evaluate_kind(kind, LacunarySeries(m, p, mobius_series(-a, 2000)), r)
         assert long.value <= short.value + short.tail_error
         assert short.value <= long.value + 1e-15
 
@@ -109,7 +108,7 @@ class TestGapSum:
     def test_extremal_closed_form(self, m):
         T = default_truncation(0.9)
         for a in (0.2, 0.6):
-            series = LacunarySeries(m, 1, mobius_minus_series(a, T)).expand()
+            series = LacunarySeries(m, 1, mobius_series(-a, T)).expand()
             for r in (0.3, 0.7):
                 rep = evaluate_kind(FunctionalKind.gap(m + 1, m), series, r)
                 expected = r**m * (a + (1 - a * a) * r / (1 - r))
@@ -135,15 +134,15 @@ class TestGapSum:
     def test_zero_radius_returns_base_term_only(self):
         f = mobius_series(0.5, 60)
         assert evaluate_kind(FunctionalKind.gap(1, 0), f, 0.0).value == 0.5
-        shifted = LacunarySeries(2, 1, mobius_minus_series(0.5, 60)).expand()
+        shifted = LacunarySeries(2, 1, mobius_series(-0.5, 60)).expand()
         assert evaluate_kind(FunctionalKind.gap(3, 2), shifted, 0.0).value == 0.0
 
     def test_underflowing_radius_forms_no_bracket(self):
         # r^m underflows to 0: the squared block is empty and its bracket,
         # which divides by r^m and r^(m-1), is never formed
-        shifted = LacunarySeries(3, 1, mobius_minus_series(0.5, 60)).expand()
+        shifted = LacunarySeries(3, 1, mobius_series(-0.5, 60)).expand()
         assert evaluate_kind(FunctionalKind.gap(4, 3), shifted, 1e-200).value == 0.0
-        lac = LacunarySeries(2, 2, mobius_minus_series(0.5, 60))
+        lac = LacunarySeries(2, 2, mobius_series(-0.5, 60))
         assert evaluate_kind(FunctionalKind.lacunary(2, 2), lac, 1e-200).value == 0.0
 
     def test_short_series_at_underflowing_radius_is_finite(self):

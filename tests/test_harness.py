@@ -31,7 +31,6 @@ from bohrlab.series import (
     LacunarySeries,
     RadiusError,
     default_truncation,
-    mobius_minus_series,
     mobius_series,
     schur_from_parameters,
 )
@@ -75,12 +74,12 @@ class TestEvaluateKind:
             evaluate_kind(FunctionalKind.lacunary(1, 0), mobius_series(0.3, 40), 0.2)
 
     def test_lacunary_shape_mismatch(self):
-        fam = LacunarySeries(1, 2, mobius_minus_series(0.3, 40))
+        fam = LacunarySeries(1, 2, mobius_series(-0.3, 40))
         with pytest.raises(ValueError):
             evaluate_kind(FunctionalKind.lacunary(3, 1), fam, 0.2)
 
     def test_gap_accepts_lacunary_input(self):
-        fam = LacunarySeries(1, 1, mobius_minus_series(0.3, 120))
+        fam = LacunarySeries(1, 1, mobius_series(-0.3, 120))
         rep = evaluate_kind(FunctionalKind.gap(2, 1), fam, 0.4)
         expected = 0.4 * (0.3 + (1 - 0.09) * 0.4 / 0.6)
         assert rep.value == pytest.approx(expected, abs=1e-10)
@@ -201,6 +200,29 @@ class TestSharpnessWitness:
         kind = FunctionalKind.improved((8.0 / 9.0,))
         with pytest.raises(ValueError):
             sharpness_witness(kind, 0.3)
+
+    @pytest.mark.parametrize("kind, calls, reached", [
+        (FunctionalKind.lacunary(1, 0), 1, 1.000000719712344),
+        (FunctionalKind.rogosinski_center(1.0, 1), 19, 1.0000006949343447),
+    ])
+    def test_no_candidate_clears_the_cushion(self, monkeypatch, kind, calls, reached):
+        # ROADMAP item 8: at r = 0.3336, 2.7e-4 past the sharp radius 1/3, the
+        # family kind's one candidate and all 19 steps a = 1 - 2^-k of the
+        # limit kind's ascent stay under 1 + 1e-6; the error names the
+        # largest value reached.  Both flip once sharpness is certified.
+        import bohrlab.harness as harness
+
+        seen = []
+        real = harness.evaluate_kind
+        monkeypatch.setattr(harness, "evaluate_kind",
+                            lambda kind, f, r: seen.append(f) or real(kind, f, r))
+        with pytest.raises(WitnessNotFoundError) as info:
+            sharpness_witness(kind, 0.3336)
+        assert str(info.value) == (f"no witness for {kind.label()} at r=0.3336: "
+                                   f"the largest value reached is {reached!r}")
+        assert len(seen) == calls
+        if calls > 1:  # the limit kind evaluates phi_a at the ascent's a, in order
+            assert [f.coeffs[0].real for f in seen] == [1.0 - 0.5**k for k in range(1, 20)]
 
     def test_gap_witness_only_at_adjacent_start(self):
         with pytest.raises(ValueError):

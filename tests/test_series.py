@@ -17,7 +17,6 @@ from bohrlab.series import (
     TailWeight,
     default_truncation,
     mobius_series,
-    mobius_minus_series,
     schur_from_parameters,
     series_from_json,
     series_to_json,
@@ -58,26 +57,42 @@ class TestMobius:
         assert _boundary_max(s, 0.99) <= 1.0 + _linear_tail(s, 0.99) + 1e-12
 
     def test_rejects_bad_parameter(self):
-        with pytest.raises(ValueError):
-            mobius_series(1.0, 5)
-        with pytest.raises(ValueError):
-            mobius_series(-0.1, 5)
+        # -1 < a < 1: the unimodular endpoints and NaN are refused, a < 0 is not
+        for a in (1.0, -1.0, 1.5, float("nan")):
+            with pytest.raises(ValueError, match="must lie in"):
+                mobius_series(a, 5)
+        assert mobius_series(-0.1, 5).coeffs[0] == -0.1 + 0j
 
 
 class TestMobiusMinus:
     def test_identity_at_zero(self):
-        s = mobius_minus_series(0.0, 4)
+        s = mobius_series(-0.0, 4)
         assert s.coeffs[0] == 0j and s.coeffs[1] == 1 + 0j
         assert all(c == 0j for c in s.coeffs[2:])
 
     def test_first_coefficient(self):
-        s = mobius_minus_series(0.5, 4)
+        s = mobius_series(-0.5, 4)
         assert abs(s.coeffs[1]) == pytest.approx(0.75, abs=1e-15)
 
     def test_sign_pattern(self):
-        s = mobius_minus_series(0.3, 8)
+        s = mobius_series(-0.3, 8)
         assert s.coeffs[0].real < 0.0
         assert all(c.real > 0.0 for c in s.coeffs[1:])
+
+    @pytest.mark.parametrize("a", [0.0, 0.3, 0.5, 0.9])
+    @pytest.mark.parametrize("T", [1, 4, 7])
+    def test_closed_form(self, a, T):
+        # (lam - a) / (1 - a lam): c_0 = -a, c_s = (1 - a^2) a^(s-1), bound (1 - a^2) a^T
+        s = mobius_series(-a, T)
+        want = [-a] + [(1.0 - a * a) * a ** (k - 1) for k in range(1, T + 1)]
+        assert s.coeffs == tuple(complex(c) for c in want)
+        assert s.coefficient_bound == (1.0 - a * a) * a**T
+
+    def test_odd_order_bound_is_nonnegative(self):
+        # a^T < 0 for a < 0 and odd T: the bound takes |a|^T, else the
+        # constructor would refuse a negative coefficient bound
+        s = mobius_series(-0.5, 5)
+        assert s.coefficient_bound == 0.75 * 0.5**5 > 0.0
 
 
 class TestSchurParameters:
@@ -138,31 +153,31 @@ class TestLacunary:
     def test_gap_family_support_and_values(self):
         # m=1, p=2: c_1 = -a, c_{2s+1} = (1-a^2) a^(s-1)
         a = 0.4
-        s = LacunarySeries(1, 2, mobius_minus_series(a, 6)).expand()
+        s = LacunarySeries(1, 2, mobius_series(-a, 6)).expand()
         assert s.coeffs[1] == pytest.approx(-a)
         for k in range(1, 7):
             assert abs(s.coeffs[2 * k + 1]) == pytest.approx((1 - a * a) * a ** (k - 1))
 
     def test_off_support_zero(self):
-        s = LacunarySeries(1, 3, mobius_minus_series(0.5, 5)).expand()
+        s = LacunarySeries(1, 3, mobius_series(-0.5, 5)).expand()
         for idx, c in enumerate(s.coeffs):
             if idx % 3 != 1:
                 assert c == 0j
 
     def test_roundtrip_identity(self):
-        g = mobius_minus_series(0.6, 7)
+        g = mobius_series(-0.6, 7)
         expanded = LacunarySeries(2, 3, g).expand()
         read = tuple(expanded.coeffs[3 * s + 2] for s in range(8))
         assert read == g.coeffs
 
     def test_identity_shape_returns_g(self):
-        g = mobius_minus_series(0.3, 20)
+        g = mobius_series(-0.3, 20)
         assert LacunarySeries(0, 1, g).expand() is g
 
     @pytest.mark.parametrize("m, p, message", [(-1, 1, "base order m must be >= 0"),
                                                (0, 0, "gap p must be >= 1")])
     def test_shape_checked_once(self, m, p, message):
-        g = mobius_minus_series(0.3, 20)
+        g = mobius_series(-0.3, 20)
         with pytest.raises(ValueError) as info:
             LacunarySeries(m, p, g)
         assert str(info.value) == message
@@ -182,8 +197,8 @@ class TestLacunary:
 
     @pytest.mark.parametrize("m, p", [(0, 1), (2, 3)])
     def test_expand_built_once_without_changing_identity(self, m, p):
-        fam = LacunarySeries(m, p, mobius_minus_series(0.4, 30))
-        twin = LacunarySeries(m, p, mobius_minus_series(0.4, 30))
+        fam = LacunarySeries(m, p, mobius_series(-0.4, 30))
+        twin = LacunarySeries(m, p, mobius_series(-0.4, 30))
         before = (hash(fam), repr(fam))
         assert fam.expand() is fam.expand()
         assert (hash(fam), repr(fam)) == before
@@ -191,7 +206,7 @@ class TestLacunary:
         assert series_from_json(series_to_json(fam)) == fam
 
     def test_expansion_past_cap_rejected(self, monkeypatch):
-        g = mobius_minus_series(0.3, 25)
+        g = mobius_series(-0.3, 25)
         monkeypatch.setattr(series_module, "_TRUNCATION_CAP", 51)
         assert LacunarySeries(1, 2, g).expand().truncation_order == 51
         with pytest.raises(ValueError, match="m \\+ p\\*T = 52 exceeds the truncation cap 51$"):
@@ -199,7 +214,7 @@ class TestLacunary:
         assert LacunarySeries(0, 1, g).expand() is g  # nothing is expanded
 
     def test_huge_gap_rejected_before_allocating(self):
-        fam = LacunarySeries(0, 100_000_000_000, mobius_minus_series(0.3, 25))
+        fam = LacunarySeries(0, 100_000_000_000, mobius_series(-0.3, 25))
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="exceeds the truncation cap 20000$"):
@@ -460,7 +475,7 @@ class TestSerialization:
         assert back.g.certificate is Certificate.SCHUR_EXACT
 
     def test_roundtrip_lacunary(self):
-        fam = LacunarySeries(2, 3, mobius_minus_series(0.4, 5))
+        fam = LacunarySeries(2, 3, mobius_series(-0.4, 5))
         back = series_from_json(series_to_json(fam))
         assert (back.m, back.p) == (2, 3)
         assert back.g.coeffs == fam.g.coeffs

@@ -8,7 +8,7 @@ from bohrlab.series import (
     Certificate,
     CoefficientSeries,
     LacunarySeries,
-    mobius_minus_series,
+    mobius_series,
     schur_from_parameters,
 )
 from bohrlab.spaces import (
@@ -115,7 +115,7 @@ class TestSlices:
         a, m, p, r = 0.45, 2, 3, 0.6
         spec = SpaceSpec(2, 2.0)
         u = unit_vector([0.6, 0.8], spec)
-        h = LacunarySeries(m - 1, p, mobius_minus_series(a, 6)).expand()
+        h = LacunarySeries(m - 1, p, mobius_series(-a, 6)).expand()
         f = BanachFunction(MappingForm.Z_TIMES_SCALAR, spec, u, h)
         sliced = slice_series(f, u)
         mods = sliced.moduli_array
