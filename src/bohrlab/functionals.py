@@ -59,13 +59,6 @@ and x^(T+1), LEMMA_TAIL's level r^N, G_MPN's x^p and (x+df)^p, I_M's
 energy^i) stays one libm ``pow`` per radius: :class:`_RadiusAxis` takes its
 powers entry by entry.  Where a radius's squared sum is empty (r = 0, or r^m
 underflows) its bracket is not used, and each radius decides that alone.
-
-D_NM's row also accepts an index shift for its squared block, the
-``squared_shift`` keyword of ``harness.evaluate_kind``.  One of the
-norm-type statements indexes that block at ``s + m`` while the linear block
-runs over ``s >= N``; the shift reproduces that asymmetric indexing
-verbatim.  It is not a kind parameter: no campaign, sharp radius or witness
-runs that variant.
 """
 
 from __future__ import annotations
@@ -446,28 +439,25 @@ def _lacunary_terms(mods, bound, p: int, m: int, r: float):
                       lambda: 1.0 / (rm * (1.0 + mods[0])) + r ** (p - m) / (1.0 - rp))
 
 
-def _gap_terms(mods, bound, m: int, n: int, r: float, squared_shift: int = 0):
+def _gap_terms(mods, bound, m: int, n: int, r: float):
     """D_NM: the refined sum of a slice supported on ``{m} union {s >= N}``.
 
     value = |P_m| + sum_{s>=N} |P_s|
-          + (1/(r^m + |P_m|) + r^(1-m)/(1-r)) * sum_{s>=N} |P_{s+shift}|^2
+          + (1/(r^m + |P_m|) + r^(1-m)/(1-r)) * sum_{s>=N} |P_s|^2
 
-    with |P_s| = |c_s| r^s.  ``squared_shift`` reproduces the asymmetric
-    squared-block indexing of the norm-type statement (shift = m); the
-    default 0 is the plain refined gap sum.  At r = 0 every series term
-    vanishes and the base term alone is returned; the bracket is never
-    formed when its sum is empty, so no division occurs.
+    with |P_s| = |c_s| r^s.  At r = 0 every series term vanishes and the
+    base term alone is returned; the bracket is never formed when its sum
+    is empty, so no division occurs.
     """
     T = mods.shape[0] - 1
     pm = (mods[m] if m <= T else 0.0) * r**m
     linear = pm + _power_sum(r, np.arange(n, T + 1, dtype=float), mods[n:])
     lin_tail = weighted_tail(bound, r, T, TailWeight.LINEAR)
-    start = n + squared_shift
-    sq = _power_sum(r, 2.0 * np.arange(start, T + 1, dtype=float), mods[start:] ** 2)
-    sq_tail = weighted_tail(bound, r, max(T, start - 1), TailWeight.SQUARED)
+    sq = _power_sum(r, 2.0 * np.arange(n, T + 1, dtype=float), mods[n:] ** 2)
+    sq_tail = weighted_tail(bound, r, max(T, n - 1), TailWeight.SQUARED)
     # The bracket divides by r^m + |P_m| and by r^(m-1).  Where either
-    # overflows, every r^(2s) with s >= start > m underflows: the sum is
-    # empty (as at r = 0) and the bracket is not used.
+    # overflows, every r^(2s) with s >= N > m underflows: the sum is empty
+    # (as at r = 0) and the bracket is not used.
     return _bracketed(linear, lin_tail, sq, sq_tail,
                       lambda: 1.0 / (r**m + pm) + r ** (1 - m) / (1.0 - r))
 
@@ -626,22 +616,21 @@ def _read(kind: FunctionalKind, f: CoefficientSeries | LacunarySeries) -> Coeffi
     return f
 
 
-def _row(kind: FunctionalKind, coeffs, mods, bound, r, **variant):
+def _row(kind: FunctionalKind, coeffs, mods, bound, r):
     """``kind``'s formula row at ``r``: ``(value, tail, level, margin)``.
 
     ``coeffs`` and ``mods`` are degree-major, one column per function, with
     ``bound`` on every dropped coefficient; ``r`` is one radius or a radius
-    axis, and ``variant`` (D_NM's nonzero ``squared_shift``) goes to the row.
-    Every evaluation runs here, and only here is a margin formed.
+    axis.  Every evaluation runs here, and only here is a margin formed.
     """
     spec = kind.spec
-    value, tail = spec.batch(kind, coeffs, mods, bound, r, **variant)
+    value, tail = spec.batch(kind, coeffs, mods, bound, r)
     level = spec.level(kind, mods, r)
     return value, tail, level, value + tail - level
 
 
-def _columns(kind: FunctionalKind, g: CoefficientSeries, radii: Sequence[float],
-             **variant) -> Iterator[tuple[list[float], ...]]:
+def _columns(kind: FunctionalKind, g: CoefficientSeries,
+             radii: Sequence[float]) -> Iterator[tuple[list[float], ...]]:
     """:func:`_row` on ``g`` (read by :func:`_read`) at each of ``radii``, as float columns.
 
     The radii must already pass the evaluation-radius rule.  One formula
@@ -657,7 +646,7 @@ def _columns(kind: FunctionalKind, g: CoefficientSeries, radii: Sequence[float],
         block = radii[lo : lo + size]
         count = len(block)
         r = block[0] if count == 1 else np.array(block).view(_RadiusAxis)
-        yield block, *(_entries(x, count) for x in _row(kind, coeffs, mods, bound, r, **variant))
+        yield block, *(_entries(x, count) for x in _row(kind, coeffs, mods, bound, r))
 
 
 def _entries(x, count: int) -> list[float]:
@@ -765,8 +754,7 @@ KINDS: dict[FunctionalTag, KindSpec] = {
     FunctionalTag.D_NM: _equation_kind(
         ("n", "m"),
         lambda k: RadiusEquation.gap(k.n, k.m),
-        batch=lambda k, c, mods, b, r, squared_shift=0: _gap_terms(
-            mods, b, k.m, k.n, r, squared_shift),
+        batch=lambda k, c, mods, b, r: _gap_terms(mods, b, k.m, k.n, r),
         support=lambda k: (k.m, k.n),
         family=_gap_family,
     ),

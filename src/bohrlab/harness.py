@@ -167,7 +167,6 @@ def evaluate_kind(
     kind: FunctionalKind,
     f: CoefficientSeries | LacunarySeries,
     r: float,
-    squared_shift: int = 0,
 ) -> EvaluationReport:
     """Evaluate one functional kind on a slice at radius ``r``.
 
@@ -177,41 +176,31 @@ def evaluate_kind(
     arrays (see ``functionals._row``).  For LEMMA_TAIL the report's
     margin is taken against the bound's right side instead of 1, so
     margin <= 0 still means "holds".
-
-    ``squared_shift`` >= 0 indexes D_NM's squared block at ``s + shift``,
-    the asymmetric indexing of the norm-type statement (shift = m); a
-    nonzero shift joins the report's parameters, and the other kinds' rows
-    take none (TypeError).
     """
-    return next(evaluate_grid(kind, f, [r], squared_shift))
+    return next(evaluate_grid(kind, f, [r]))
 
 
 def evaluate_grid(
     kind: FunctionalKind,
     f: CoefficientSeries | LacunarySeries,
     radii: list[float],
-    squared_shift: int = 0,
 ) -> Iterator[EvaluationReport]:
     """The report of :func:`evaluate_kind` at each of ``radii``, lazily and in order.
 
     The formula row runs once per block of radii (``functionals._columns``),
     and each report equals ``evaluate_kind`` at its radius byte for byte.
-    The checks run at the call, in this order: a negative ``squared_shift``
-    (ValueError), the input as the kind reads it (``functionals._read``),
-    then every radius (RadiusError).
+    The checks run at the call, in this order: the input as the kind reads
+    it (``functionals._read``), then every radius (RadiusError).
     """
-    if squared_shift < 0:
-        raise ValueError("squared_shift must be >= 0")
-    variant = {"squared_shift": squared_shift} if squared_shift else {}
     g = _read(kind, f)
     radii = list(map(_check_radius, radii))
     shape = f"lacunary(m={f.m}, p={f.p}, " if kind.spec.lacunary else "series("
     function = f"{shape}T={g.truncation_order}, cert={g.certificate.value})"
     certified = g.certificate is not Certificate.UNKNOWN
-    params = {**kind.params(), **variant}
+    params = kind.params()
     tag = kind.tag.value
     return (EvaluationReport(v, t, margin, tag, dict(params), radius, function, certified, lv)
-            for block, values, tails, levels, margins in _columns(kind, g, radii, **variant)
+            for block, values, tails, levels, margins in _columns(kind, g, radii)
             for radius, v, t, lv, margin in zip(block, values, tails, levels, margins))
 
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from .functionals import FunctionalKind, c_constant, constraint_check
 from .harness import (
+    _family_member,
     empirical_radius,
     evaluate_grid,
     evaluate_kind,
@@ -29,7 +30,6 @@ from .series import (
     CoefficientSeries,
     LacunarySeries,
     default_truncation,
-    mobius_series,
     schur_from_parameters,
 )
 from .spaces import (
@@ -93,7 +93,7 @@ def check_extremal_closed_forms() -> tuple[bool, str]:
     for p, m in ((1, 0), (2, 1), (3, 2)):
         kind = FunctionalKind.lacunary(p, m)
         for a in grid:
-            fam = LacunarySeries(m, p, mobius_series(-a, T))
+            fam = _family_member(kind, p, a, T)
             for r, report in zip(grid, evaluate_grid(kind, fam, grid)):
                 rp = r**p
                 expected = r**m * (a + (1.0 - a * a) * rp / (1.0 - rp))
@@ -101,8 +101,8 @@ def check_extremal_closed_forms() -> tuple[bool, str]:
     for m in (0, 1, 2):
         kind = FunctionalKind.gap(m + 1, m)
         for a in grid:
-            series = LacunarySeries(m, 1, mobius_series(-a, T)).expand()
-            for r, report in zip(grid, evaluate_grid(kind, series, grid)):
+            fam = _family_member(kind, 1, a, T)
+            for r, report in zip(grid, evaluate_grid(kind, fam, grid)):
                 expected = r**m * (a + (1.0 - a * a) * r / (1.0 - r))
                 worst = max(worst, abs(report.value - expected))
     return worst <= 1e-9, f"max |value - closed form| = {worst:.3e}"
@@ -260,8 +260,8 @@ def check_banach_reduction() -> tuple[bool, str]:
             # Norm type: z * h(T_u(z)); the slice's moduli are the term norms.
             f_norm = BanachFunction(MappingForm.Z_TIMES_SCALAR, spec, u, g)
             sliced = slice_series(f_norm, u)
-            via = evaluate_kind(gap, sliced, r, squared_shift=1).value
-            direct = evaluate_kind(gap, h_gap, r, squared_shift=1).value
+            via = evaluate_kind(gap, sliced, r).value
+            direct = evaluate_kind(gap, h_gap, r).value
             worst_eval = max(worst_eval, abs(via - direct))
 
             # Norm type on the lacunary shape: h = lam^(m-1) G(lam^p) with m = 1.

@@ -188,7 +188,8 @@ class TestGapSum:
         assert str(info.value) == "coefficient c_1 = 0.2 violates the support {0} | {s >= 2}"
 
     def test_squared_shift_indexing(self):
-        # support {1} | {2, 3}; the shifted squared block reads index s + 1
+        # support {1} | {2, 3}: the squared block runs over s >= N, as the
+        # linear block does, with no shift
         c1, c2, c3 = 0.3, 0.25, 0.2
         s = CoefficientSeries((0j, c1 + 0j, c2 + 0j, c3 + 0j), 0.0)
         r = 0.5
@@ -198,25 +199,6 @@ class TestGapSum:
         assert plain.value == pytest.approx(
             base + bracket * (c2**2 * r**4 + c3**2 * r**6), abs=1e-14
         )
-        shifted = evaluate_kind(FunctionalKind.gap(2, 1), s, r, squared_shift=1)
-        assert shifted.value == pytest.approx(
-            base + bracket * (c3**2 * r**6), abs=1e-14
-        )
-        assert list(shifted.params.items()) == [("m", 1), ("n", 2), ("squared_shift", 1)]
-
-    def test_negative_shift_raises_before_any_report(self):
-        s = LacunarySeries(1, 1, _random_schur(7)).expand()
-        kind = FunctionalKind.gap(2, 1)
-        with pytest.raises(ValueError, match="^squared_shift must be >= 0$"):
-            evaluate_kind(kind, s, 0.5, squared_shift=-1)
-        with pytest.raises(ValueError, match="^squared_shift must be >= 0$"):
-            evaluate_grid(kind, s, [0.3, 0.5], squared_shift=-1)
-
-    def test_shifted_sum_never_exceeds_plain(self):
-        series = LacunarySeries(1, 1, _random_schur(7)).expand()
-        plain = evaluate_kind(FunctionalKind.gap(2, 1), series, 0.55)
-        shifted = evaluate_kind(FunctionalKind.gap(2, 1), series, 0.55, squared_shift=1)
-        assert shifted.value <= plain.value + 1e-15
 
 
 class TestRogosinski:

@@ -376,6 +376,23 @@ class TestBatchSchur:
             )
             self._assert_matches_dense(rows, 60)
 
+    # A gap kind's inserted zero parameters make g_1..g_{N-m-1} vanish.  The
+    # recursion's g * B is numpy's fused complex product and the division's
+    # vecdot is unfused, so they leave a residue of a few ulp there, where
+    # schur_from_parameters gives exact zeros.  It grows with the gap: 4.4e-16
+    # for D_NM(3,1), 3.3e-15 for D_NM(5,1) and 1.2e-14 for D_NM(64,32) on
+    # these rows, far below the 1e-12 support tolerance a replay's read uses.
+    @pytest.mark.parametrize("kind, bound", [(FunctionalKind.gap(3, 1), 1e-14),
+                                             (FunctionalKind.gap(5, 1), 1e-14),
+                                             (FunctionalKind.gap(64, 32), 1e-13)],
+                             ids=["D_NM(3,1)", "D_NM(5,1)", "D_NM(64,32)"])
+    def test_gap_rows_vanish_on_the_gap(self, kind, bound):
+        m, n = kind.spec.support(kind)
+        T = _campaign_truncation(kind, theorem_radius(kind))
+        params = _sample_parameters(np.random.default_rng(203), 10_000)
+        coeffs, _ = _batch_schur(_shape_parameters(kind, params), T)
+        assert np.abs(coeffs[1 : n - m]).max() <= bound
+
     def test_truncation_below_parameter_count(self):
         params = _sample_parameters(np.random.default_rng(13), 16)
         self._assert_matches_dense(params, 3)

@@ -255,15 +255,3 @@ def test_report_params_follow_the_kind(tag):
     f = _random_trial(kind, np.random.default_rng(73), 50)
     report = evaluate_kind(kind, f, 0.3)
     assert list(report.params.items()) == list(kind.params().items())
-
-
-@pytest.mark.parametrize("tag", [t for t in FunctionalTag if t is not FunctionalTag.D_NM],
-                         ids=lambda t: t.value)
-def test_only_the_gap_row_takes_a_squared_shift(tag):
-    kind = SAMPLES[tag]
-    f = _random_trial(kind, np.random.default_rng(74), 50)
-    with pytest.raises(TypeError, match="squared_shift"):
-        evaluate_kind(kind, f, 0.3, squared_shift=1)
-    reports = harness.evaluate_grid(kind, f, [0.2, 0.3], squared_shift=1)
-    with pytest.raises(TypeError, match="squared_shift"):
-        next(reports)

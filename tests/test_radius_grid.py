@@ -124,9 +124,9 @@ def test_scan_stops_at_the_first_violated_block(monkeypatch):
     spec = kind.spec
     blocks = []
 
-    def counting(kind, coeffs, mods, bound, r, **variant):
+    def counting(kind, coeffs, mods, bound, r):
         blocks.append(1 if isinstance(r, float) else len(r))
-        return spec.batch(kind, coeffs, mods, bound, r, **variant)
+        return spec.batch(kind, coeffs, mods, bound, r)
 
     monkeypatch.setitem(KINDS, kind.tag, dataclasses.replace(spec, batch=counting))
     assert empirical_radius(kind, f) == 0.6000000004768371
